@@ -1,9 +1,14 @@
 """Layer and model descriptions plus reference forward passes.
 
-The forward kernels here are correctness references, not speed-optimized
-inference: convolutions accumulate in float64 and round once to float32
-at the end, so they serve as the golden output other paths (quantized,
-pruned) are measured against.
+The forward passes are the golden output that other paths (quantized,
+pruned) are measured against, so their contract is precision:
+convolutions accumulate in float64 and round once to float32 at the end.
+Within that contract they are lowered to BLAS. conv and deconv loop over
+the K^2 kernel taps and compute each tap as one float64 matrix product
+(C_out, C_in) @ (C_in, N*H*W), accumulating the taps in a fixed order
+(Chellapilla et al. 2006). A product per tap needs one (C_in, N*H*W)
+column buffer, where a single product over all taps would need an
+im2col matrix K^2 times larger.
 """
 
 from __future__ import annotations
@@ -88,6 +93,8 @@ class LayerSpec:
                 raise ShapeError(
                     f"bias must have shape ({self.out_channels},); got {b.shape}"
                 )
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise ParameterError(f"{self.kind} weights and bias must be finite")
             object.__setattr__(self, "weights", w)
             object.__setattr__(self, "bias", _frozen(b, np.float32))
             if self.gdn_params is not None:
@@ -146,9 +153,17 @@ class ModelSpec:
                     f"bit_widths lists {len(self.bit_widths)} entries for "
                     f"{len(self.layers)} layers"
                 )
-            if any(int(b) < 1 for b in self.bit_widths):
+            try:
+                widths = [int(b) for b in self.bit_widths]
+            except (TypeError, ValueError, OverflowError):
+                widths = None
+            if widths is None or widths != list(self.bit_widths):
+                raise ParameterError(
+                    f"bit widths must be integers; got {self.bit_widths!r}"
+                )
+            if any(b < 1 for b in widths):
                 raise ParameterError("bit widths must be positive")
-            object.__setattr__(self, "bit_widths", [int(b) for b in self.bit_widths])
+            object.__setattr__(self, "bit_widths", widths)
 
     @property
     def in_channels(self) -> int:
@@ -185,8 +200,21 @@ def layer_output_dims(layer: LayerSpec, h: int, w: int):
     return h, w
 
 
+def _tap_weights(layer: LayerSpec) -> np.ndarray:
+    """float64 weights as (K, K, C_out, C_in): one contiguous matrix per tap."""
+    return np.ascontiguousarray(
+        layer.weights.astype(np.float64).transpose(2, 3, 0, 1)
+    )
+
+
 def conv2d_forward(x: Tensor, layer: LayerSpec) -> Tensor:
-    """Strided 2-D cross-correlation with zero padding."""
+    """Strided 2-D cross-correlation with zero padding.
+
+    For each of the K^2 taps, the strided input window is gathered into a
+    (C_in, N*H_out*W_out) float64 buffer and multiplied by that tap's
+    (C_out, C_in) weights; the products are summed in float64 in tap
+    order, the bias is added, and the sum is rounded once to float32.
+    """
     if layer.kind != "conv":
         raise ParameterError(f"conv2d_forward got a {layer.kind} layer")
     if x.c != layer.in_channels:
@@ -195,21 +223,31 @@ def conv2d_forward(x: Tensor, layer: LayerSpec) -> Tensor:
         )
     k, s, p = layer.kernel, layer.stride, layer.padding
     oh, ow = layer_output_dims(layer, x.h, x.w)
-    padded = np.pad(
-        x.data.astype(np.float64), ((0, 0), (0, 0), (p, p), (p, p))
-    )
-    w64 = layer.weights.astype(np.float64)
-    out = np.zeros((x.n, layer.out_channels, oh, ow), dtype=np.float64)
+    n, cin, cout = x.n, layer.in_channels, layer.out_channels
+    padded = np.zeros((cin, n, x.h + 2 * p, x.w + 2 * p), dtype=np.float64)
+    padded[:, :, p:p + x.h, p:p + x.w] = x.data.transpose(1, 0, 2, 3)
+    taps = _tap_weights(layer)
+    cols = np.empty((cin, n, oh, ow), dtype=np.float64)
+    prod = np.empty((cout, n * oh * ow), dtype=np.float64)
+    acc = np.zeros((cout, n * oh * ow), dtype=np.float64)
     for ky in range(k):
         for kx in range(k):
-            window = padded[:, :, ky:ky + s * oh:s, kx:kx + s * ow:s]
-            out += np.einsum("nihw,oi->nohw", window, w64[:, :, ky, kx])
-    out += layer.bias.astype(np.float64)[None, :, None, None]
-    return Tensor(out.astype(np.float32))
+            cols[...] = padded[:, :, ky:ky + s * oh:s, kx:kx + s * ow:s]
+            np.matmul(taps[ky, kx], cols.reshape(cin, -1), out=prod)
+            acc += prod
+    acc += layer.bias.astype(np.float64)[:, None]
+    return Tensor(acc.reshape(cout, n, oh, ow).transpose(1, 0, 2, 3))
 
 
 def deconv2d_forward(x: Tensor, layer: LayerSpec) -> Tensor:
-    """Transposed convolution: scatter-add of stride-spaced kernel copies."""
+    """Transposed convolution: scatter-add of stride-spaced kernel copies.
+
+    The input is reshaped once to (C_in, N*H*W) float64. Each of the K^2
+    taps is one (C_out, C_in) matrix product with it, added at a
+    stride-spaced offset into a float64 canvas; the canvas is cropped by
+    the padding, the bias is added, and the sum is rounded once to
+    float32.
+    """
     if layer.kind != "deconv":
         raise ParameterError(f"deconv2d_forward got a {layer.kind} layer")
     if x.c != layer.in_channels:
@@ -218,18 +256,20 @@ def deconv2d_forward(x: Tensor, layer: LayerSpec) -> Tensor:
         )
     k, s, p = layer.kernel, layer.stride, layer.padding
     oh, ow = layer_output_dims(layer, x.h, x.w)
-    full_h = (x.h - 1) * s + k
-    full_w = (x.w - 1) * s + k
-    x64 = x.data.astype(np.float64)
-    w64 = layer.weights.astype(np.float64)
-    full = np.zeros((x.n, layer.out_channels, full_h, full_w), dtype=np.float64)
+    n, h, w, cout = x.n, x.h, x.w, layer.out_channels
+    xcols = x.data.transpose(1, 0, 2, 3).reshape(layer.in_channels, -1) \
+        .astype(np.float64)
+    taps = _tap_weights(layer)
+    prod = np.empty((cout, n, h, w), dtype=np.float64)
+    full = np.zeros((cout, n, (h - 1) * s + k, (w - 1) * s + k),
+                    dtype=np.float64)
     for ky in range(k):
         for kx in range(k):
-            contrib = np.einsum("nihw,oi->nohw", x64, w64[:, :, ky, kx])
-            full[:, :, ky:ky + s * x.h:s, kx:kx + s * x.w:s] += contrib
-    out = full[:, :, p:p + oh, p:p + ow]
-    out = out + layer.bias.astype(np.float64)[None, :, None, None]
-    return Tensor(out.astype(np.float32))
+            np.matmul(taps[ky, kx], xcols, out=prod.reshape(cout, -1))
+            full[:, :, ky:ky + s * h:s, kx:kx + s * w:s] += prod
+    out = full[:, :, p:p + oh, p:p + ow] \
+        + layer.bias.astype(np.float64)[:, None, None, None]
+    return Tensor(out.transpose(1, 0, 2, 3))
 
 
 def relu_forward(x: Tensor, layer: LayerSpec) -> Tensor:
@@ -273,8 +313,11 @@ class FlopsReport:
 def flops_of(model: ModelSpec, input_hw) -> FlopsReport:
     """Operation counts per layer for one image of the given extent.
 
-    conv/deconv: 2 * H_out * W_out * C_in * C_out * K^2 (multiply + add
-    per MAC, counted at the layer's own output extent). gdn/igdn:
+    conv: 2 * H_out * W_out * C_in * C_out * K^2 (multiply + add per MAC:
+    every output pixel meets every tap). deconv: 2 * H_in * W_in * C_in *
+    C_out * K^2 (every input pixel meets every tap once, whatever the
+    output extent; counting at the output extent would overstate a
+    stride-s layer by about s^2). gdn/igdn:
     2*H*W*C^2 for the pairwise pool plus 5*H*W*C for square, offset,
     root, divide, and scale. relu: one op per element.
     """
@@ -283,7 +326,8 @@ def flops_of(model: ModelSpec, input_hw) -> FlopsReport:
     for layer in model.layers:
         oh, ow = layer_output_dims(layer, h, w)
         if layer.kind in ("conv", "deconv"):
-            ops = 2 * oh * ow * layer.in_channels * layer.out_channels \
+            mac_h, mac_w = (oh, ow) if layer.kind == "conv" else (h, w)
+            ops = 2 * mac_h * mac_w * layer.in_channels * layer.out_channels \
                 * layer.kernel ** 2
         elif layer.kind in ("gdn", "igdn"):
             c = layer.out_channels

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -329,3 +330,27 @@ def test_domain_failure_maps_to_4(tmp_path, rng, model_file):
         "iterations": 2,
     })
     assert main(["prune", "--config", cfg, "--out", str(tmp_path)]) == 4
+
+
+def with_header_field(blob, key, value):
+    """Rewrite one field of a float model container's JSON header."""
+    magic, version, head_len = struct.unpack_from("<4sIQ", blob)
+    prefix = struct.calcsize("<4sIQ")
+    header = json.loads(blob[prefix:prefix + head_len])
+    header[key] = value
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    return (struct.pack("<4sIQ", magic, version, len(head)) + head
+            + blob[prefix + head_len:])
+
+
+@pytest.mark.parametrize("widths", [["a", 8, 8, 8, 8], [8, 8, 2.5, 8, 8]])
+def test_bad_bit_widths_in_container_exit_4(tmp_path, model_file, capsys,
+                                            widths):
+    path, _ = model_file
+    bad = tmp_path / "bad_widths.bin"
+    bad.write_bytes(with_header_field(path.read_bytes(), "bit_widths", widths))
+    cfg = write_json(tmp_path / "prune.json", {"model": str(bad)})
+    assert main(["prune", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert "bit widths must be integers" in err
+    assert "Traceback" not in err

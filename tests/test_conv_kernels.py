@@ -1,0 +1,151 @@
+"""Differential tests: the BLAS-backed conv/deconv kernels against the
+per-tap einsum kernels they replaced.
+
+The einsum kernels below are the package's earlier implementation,
+kept verbatim on raw arrays as the oracle. Both accumulate in float64
+and round once to float32; only the order of the float64 additions
+inside a tap differs, so results must agree to within one float32
+spacing of each element plus 1e-9 of the largest magnitude.
+"""
+
+import numpy as np
+import pytest
+
+from lic_hw_kit import Tensor, conv2d_forward, deconv2d_forward
+from conftest import make_conv
+
+
+def einsum_conv(x, weights, bias, stride, padding):
+    n, _, h, w = x.shape
+    cout, _, k, _ = weights.shape
+    s, p = stride, padding
+    oh = (h + 2 * p - k) // s + 1
+    ow = (w + 2 * p - k) // s + 1
+    padded = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (p, p), (p, p)))
+    w64 = weights.astype(np.float64)
+    out = np.zeros((n, cout, oh, ow), dtype=np.float64)
+    for ky in range(k):
+        for kx in range(k):
+            window = padded[:, :, ky:ky + s * oh:s, kx:kx + s * ow:s]
+            out += np.einsum("nihw,oi->nohw", window, w64[:, :, ky, kx])
+    out += bias.astype(np.float64)[None, :, None, None]
+    return out.astype(np.float32)
+
+
+def einsum_deconv(x, weights, bias, stride, padding):
+    n, _, h, w = x.shape
+    cout, _, k, _ = weights.shape
+    s, p = stride, padding
+    oh = (h - 1) * s - 2 * p + k
+    ow = (w - 1) * s - 2 * p + k
+    x64 = x.astype(np.float64)
+    w64 = weights.astype(np.float64)
+    full = np.zeros((n, cout, (h - 1) * s + k, (w - 1) * s + k),
+                    dtype=np.float64)
+    for ky in range(k):
+        for kx in range(k):
+            contrib = np.einsum("nihw,oi->nohw", x64, w64[:, :, ky, kx])
+            full[:, :, ky:ky + s * h:s, kx:kx + s * w:s] += contrib
+    out = full[:, :, p:p + oh, p:p + ow] \
+        + bias.astype(np.float64)[None, :, None, None]
+    return out.astype(np.float32)
+
+
+def float32_gemm_conv(x, weights, bias, stride, padding):
+    """The per-tap GEMM with a float32 accumulator: the fault the
+    tolerance must catch."""
+    n, cin, h, w = x.shape
+    cout, _, k, _ = weights.shape
+    s, p = stride, padding
+    oh = (h + 2 * p - k) // s + 1
+    ow = (w + 2 * p - k) // s + 1
+    padded = np.pad(x.transpose(1, 0, 2, 3), ((0, 0), (0, 0), (p, p), (p, p)))
+    acc = np.zeros((cout, n * oh * ow), dtype=np.float32)
+    for ky in range(k):
+        for kx in range(k):
+            cols = padded[:, :, ky:ky + s * oh:s, kx:kx + s * ow:s]
+            acc += weights[:, :, ky, kx] @ cols.reshape(cin, -1)
+    acc += bias[:, None]
+    return acc.reshape(cout, n, oh, ow).transpose(1, 0, 2, 3)
+
+
+def within_float64_accumulation(got, want):
+    """One float32 spacing of each reference element plus 1e-9 of the
+    largest reference magnitude: what a different float64 summation
+    order can move a once-rounded float32 result by."""
+    got = np.asarray(got, dtype=np.float64)
+    want = np.asarray(want, dtype=np.float64)
+    if got.shape != want.shape:
+        return False
+    tol = np.spacing(np.abs(want).astype(np.float32)).astype(np.float64)
+    tol += 1e-9 * float(np.max(np.abs(want), initial=0.0))
+    return bool(np.all(np.abs(got - want) <= tol))
+
+
+def conv_extent(k, s, p, base):
+    """The first extent >= base whose conv span (h + 2p - k) is not a
+    multiple of the stride, when the stride is above 1."""
+    h = base
+    while s > 1 and (h + 2 * p - k) % s == 0:
+        h += 1
+    return h
+
+
+def check_kernel(fn, oracle, x, layer):
+    got = fn(Tensor(x), layer)
+    assert isinstance(got, Tensor)
+    assert got.data.dtype == np.float32
+    assert got.data.flags.c_contiguous
+    want = oracle(x, layer.weights, layer.bias, layer.stride, layer.padding)
+    assert got.dims == want.shape
+    assert within_float64_accumulation(got.data, want)
+
+
+GRID = [(k, s, p, n)
+        for k in (1, 3, 5) for s in (1, 2, 3) for p in (0, 1, 2) for n in (1, 2)]
+
+
+@pytest.mark.parametrize("k,s,p,n", GRID)
+def test_conv_matches_einsum_oracle(k, s, p, n):
+    rng = np.random.default_rng([k, s, p, n])
+    h = conv_extent(k, s, p, 9)
+    w = conv_extent(k, s, p, h + 2)
+    layer = make_conv(3, 4, k=k, s=s, p=p, rng=rng)
+    x = rng.normal(0.0, 1.0, (n, 3, h, w)).astype(np.float32)
+    check_kernel(conv2d_forward, einsum_conv, x, layer)
+
+
+@pytest.mark.parametrize("k,s,p,n", GRID)
+def test_deconv_matches_einsum_oracle(k, s, p, n):
+    rng = np.random.default_rng([k, s, p, n, 1])
+    h = conv_extent(k, s, p, 5)
+    w = conv_extent(k, s, p, h + 2)
+    layer = make_conv(3, 4, k=k, s=s, p=p, rng=rng, kind="deconv")
+    x = rng.normal(0.0, 1.0, (n, 3, h, w)).astype(np.float32)
+    check_kernel(deconv2d_forward, einsum_deconv, x, layer)
+
+
+def paper_layer(kind, rng):
+    """128 -> 128, 5x5, stride 2, padding 2: the codec's inner layer."""
+    return make_conv(128, 128, k=5, s=2, p=2, rng=rng, kind=kind)
+
+
+def test_paper_scale_conv_and_deconv():
+    rng = np.random.default_rng(5)
+    x = rng.normal(0.0, 1.0, (1, 128, 17, 15)).astype(np.float32)
+    check_kernel(conv2d_forward, einsum_conv, x, paper_layer("conv", rng))
+    x = rng.normal(0.0, 1.0, (1, 128, 9, 7)).astype(np.float32)
+    check_kernel(deconv2d_forward, einsum_deconv, x, paper_layer("deconv", rng))
+
+
+def test_tolerance_rejects_float32_accumulation():
+    """Negative control: at 128 channels x 25 taps a float32 accumulator
+    misses the tolerance, so the differential tests would catch a kernel
+    that dropped the float64 accumulator."""
+    rng = np.random.default_rng(5)
+    layer = paper_layer("conv", rng)
+    x = rng.normal(0.0, 1.0, (1, 128, 17, 15)).astype(np.float32)
+    want = einsum_conv(x, layer.weights, layer.bias, 2, 2)
+    bad = float32_gemm_conv(x, layer.weights, layer.bias, 2, 2)
+    assert bad.shape == want.shape
+    assert not within_float64_accumulation(bad, want)

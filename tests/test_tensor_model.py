@@ -108,6 +108,35 @@ def test_bit_widths_length_checked(rng):
                   layers=[make_conv(3, 4, rng=rng)], bit_widths=[8, 8])
 
 
+@pytest.mark.parametrize("role", ["weights", "bias"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_layer_spec_rejects_nonfinite_parameters(rng, role, bad):
+    good = make_conv(3, 4, rng=rng)
+    arrays = {"weights": good.weights.copy(), "bias": good.bias.copy()}
+    arrays[role].flat[1] = bad
+    for kind in ("conv", "deconv"):
+        with pytest.raises(ParameterError, match="finite"):
+            LayerSpec(kind=kind, in_channels=3, out_channels=4, kernel=3,
+                      padding=1, **arrays)
+
+
+@pytest.mark.parametrize("widths", [[2.5], ["a"], ["8"], [None], [float("nan")],
+                                    [float("inf")]])
+def test_bit_widths_must_be_integers(rng, widths):
+    with pytest.raises(ParameterError, match="integers"):
+        ModelSpec(name="m", role="main_encoder",
+                  layers=[make_conv(3, 4, rng=rng)], bit_widths=widths)
+
+
+def test_bit_widths_accept_integral_values(rng):
+    m = ModelSpec(name="m", role="main_encoder",
+                  layers=[make_conv(3, 4, rng=rng)], bit_widths=[np.int64(6)])
+    assert m.bit_widths == [6] and type(m.bit_widths[0]) is int
+    m = ModelSpec(name="m", role="main_encoder",
+                  layers=[make_conv(3, 4, rng=rng)], bit_widths=[8.0])
+    assert m.bit_widths == [8]
+
+
 # ---------------------------------------------------------------------------
 # Forward kernels against loop oracles
 # ---------------------------------------------------------------------------
@@ -254,6 +283,51 @@ def test_flops_formulas_by_hand(rng):
     assert rep.per_layer[0] == 2 * oh * ow * 3 * 8 * 25
     assert rep.per_layer[1] == 2 * oh * ow * 64 + 5 * oh * ow * 8
     assert rep.total == sum(rep.per_layer)
+
+
+def loop_count_ops(model, h, w):
+    """Operations per layer, counted by walking every element the way a
+    scalar implementation would touch it."""
+    counts = []
+    for layer in model.layers:
+        oh, ow = layer_output_dims(layer, h, w)
+        cin, cout, k = layer.in_channels, layer.out_channels, layer.kernel
+        ops = 0
+        if layer.kind == "conv":  # every output pixel gathers every tap
+            for _ in range(oh * ow):
+                for _ in range(k * k):
+                    ops += 2 * cin * cout
+        elif layer.kind == "deconv":  # every input pixel scatters every tap
+            for _ in range(h * w):
+                for _ in range(k * k):
+                    ops += 2 * cin * cout
+        elif layer.kind in ("gdn", "igdn"):
+            for _ in range(oh * ow * cout):
+                ops += 2 * cout  # pool: one multiply-add per channel pair
+                ops += 5  # square, offset, root, divide, scale
+        else:  # relu
+            for _ in range(oh * ow * cout):
+                ops += 1
+        counts.append(ops)
+        h, w = oh, ow
+    return counts
+
+
+def test_flops_match_loop_count_for_every_layer_kind(rng):
+    model = ModelSpec(name="m", role="main_decoder", layers=[
+        make_conv(3, 6, k=5, s=2, p=2, rng=rng),
+        make_gdn(6, rng=rng),
+        LayerSpec(kind="relu", in_channels=6, out_channels=6),
+        make_conv(6, 4, k=5, s=2, p=2, rng=rng, kind="deconv"),
+        make_gdn(4, kind="igdn", rng=rng),
+        make_conv(4, 2, k=3, s=3, p=0, rng=rng, kind="deconv"),
+    ])
+    assert {layer.kind for layer in model.layers} == {
+        "conv", "deconv", "gdn", "igdn", "relu"}
+    for hw in ((13, 9), (8, 8)):
+        rep = flops_of(model, hw)
+        assert rep.per_layer == loop_count_ops(model, *hw)
+        assert rep.total == sum(rep.per_layer)
 
 
 def test_flops_scale_with_resolution(rng):
