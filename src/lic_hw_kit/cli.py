@@ -25,8 +25,10 @@ from .bd_metrics import bd_metrics as compute_bd_metrics
 from .bd_metrics import read_rd_csv
 from .errors import (
     ConfigError,
+    MalformedHeaderError,
     MissingInputError,
     ToolkitError,
+    TruncatedPayloadError,
 )
 from .gdn import GdnParams, GdnStageFormats, gdn_error_report
 from .kd_loss import KdWeights, PhaseSchedule, kd_loss, plateau_scheduler
@@ -309,7 +311,11 @@ def _write_json(path: Path, obj) -> None:
 
 
 def read_ppm(buf: bytes) -> Tensor:
-    """Binary 8-bit P6 to a (1, 3, h, w) tensor of 0..255 values."""
+    """Binary 8-bit P6 to a (1, 3, h, w) tensor of 0..255 values.
+
+    A header that cannot be parsed raises MalformedHeaderError; pixel
+    data shorter than the header declares raises TruncatedPayloadError.
+    """
     fields = []
     pos = 0
     while len(fields) < 4:
@@ -323,19 +329,24 @@ def read_ppm(buf: bytes) -> Tensor:
         while pos < len(buf) and not buf[pos:pos + 1].isspace():
             pos += 1
         if start == pos:
-            raise ToolkitError("ppm header ended early")
+            raise MalformedHeaderError("ppm header ended early")
         fields.append(buf[start:pos])
     pos += 1  # single whitespace after maxval
     magic, w_, h_, maxval = fields
     if magic != b"P6":
-        raise ToolkitError(f"unsupported ppm magic {magic!r}; P6 only")
+        raise MalformedHeaderError(f"unsupported ppm magic {magic!r}; P6 only")
+    if not (w_.isdigit() and h_.isdigit() and maxval.isdigit()):
+        raise MalformedHeaderError(
+            f"ppm width, height and maxval must be decimal integers; "
+            f"got {w_!r}, {h_!r}, {maxval!r}"
+        )
     w, h, mv = int(w_), int(h_), int(maxval)
     if mv != 255:
-        raise ToolkitError(f"ppm maxval must be 255; got {mv}")
+        raise MalformedHeaderError(f"ppm maxval must be 255; got {mv}")
     need = w * h * 3
     raw = buf[pos:pos + need]
     if len(raw) < need:
-        raise ToolkitError("ppm pixel data truncated")
+        raise TruncatedPayloadError("ppm pixel data truncated")
     arr = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
     return Tensor(arr.transpose(2, 0, 1)[None].astype(np.float32))
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, ShapeError
 
 __all__ = [
     "FixedPointFormat",
@@ -106,28 +106,57 @@ def from_fixed(q, fmt: FixedPointFormat):
 def rshift_round(v, nbits: int):
     """Arithmetic shift right by nbits with half-away-from-zero rounding.
 
-    nbits <= 0 shifts left (exact).
+    nbits is one shift for every element; nbits <= 0 shifts left (exact).
+    Rounding away from zero is floor((v + half - [v < 0]) / 2**nbits):
+    the sign bit v >> 63 (0 or -1) trims the bias for negative v, so the
+    whole shift is four in-place passes over one fresh int64 buffer. 0-d
+    input gives a 0-d array.
     """
     v = np.asarray(v, dtype=np.int64)
     if nbits <= 0:
         return v << (-nbits)
-    a = np.abs(v)
-    half = np.int64(1) << (nbits - 1)
-    r = (a + half) >> nbits
-    return np.where(v < 0, -r, r).astype(np.int64)
+    # an explicit out= keeps 0-d input an array, so the in-place ops apply
+    r = np.right_shift(v, 63, out=np.empty_like(v))
+    r += np.int64(1) << (nbits - 1)
+    r += v
+    r >>= nbits
+    return r
 
 
 def shift_round(v, nbits):
-    """Per-element shift (right if positive) with rounding; nbits may be an array."""
+    """Per-element shift with rounding: right by n where n > 0 (half away
+    from zero, as rshift_round), left by -n (exact) where n <= 0.
+
+    nbits may be a scalar or an array of shifts in [-63, 63]. v and nbits
+    broadcast against each other as numpy arrays do; shapes that do not
+    broadcast raise ShapeError. Every element takes one branch-free path:
+    with right = max(n, 0), r = (v + bias) >> right, where bias is half a
+    step for v >= 0 and one less for v < 0 (0 when right = 0); then
+    r <<= max(-n, 0).
+    """
     v = np.asarray(v, dtype=np.int64)
     nbits = np.asarray(nbits, dtype=np.int64)
     if nbits.ndim == 0:
         return rshift_round(v, int(nbits))
-    out = np.empty_like(v)
-    for n in np.unique(nbits):
-        m = nbits == n
-        out[m] = rshift_round(v[m], int(n))
-    return out
+    try:
+        shape = np.broadcast_shapes(v.shape, nbits.shape)
+    except ValueError:
+        raise ShapeError(
+            f"shift_round: values of shape {v.shape} and shifts of shape "
+            f"{nbits.shape} do not broadcast"
+        ) from None
+    right = np.maximum(nbits, 0)
+    # bias = ((1 << right) + (v >> 63)) >> 1, shifted unsigned so that
+    # 1 << 63 stays positive
+    r = np.right_shift(v, 63, out=np.empty(shape, dtype=np.int64))
+    r += np.int64(1) << right
+    u = r.view(np.uint64)
+    u >>= np.uint64(1)
+    r += v
+    r >>= right
+    left = np.negative(nbits, out=right)
+    r <<= np.maximum(left, 0, out=left)
+    return r
 
 
 def saturate_q(q, fmt: FixedPointFormat):

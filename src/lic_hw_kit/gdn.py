@@ -199,6 +199,33 @@ def _mac_headroom_ok(gamma_q, sq_max: int, channels: int) -> bool:
     return worst < (1 << 62)
 
 
+def _gamma_mac(gamma_q, sq):
+    """Exact sum_j gamma_q[i, j] * sq[n, j, h, w] as int64, run on float64 BLAS.
+
+    Both operands are non-negative integers. sq is cut into limbs of b
+    bits with b = 53 - bit_length(max(gamma_q) * C), so every partial sum
+    of every limb's GEMM is an integer below 2**53 and float64 holds it
+    exactly whatever order BLAS adds in. Each limb's product is shifted
+    back into an int64 accumulator; _mac_headroom_ok bounds the total.
+    numpy has no integer BLAS, so this beats an int64 matmul or einsum.
+    """
+    n, c, h, w = sq.shape
+    bound = int(gamma_q.max()) * c if gamma_q.size else 0
+    b = 53 - bound.bit_length()
+    top = int(sq.max()).bit_length() if sq.size else 0
+    g = gamma_q.astype(np.float64)
+    sq = sq.reshape(n, c, h * w)
+    if top <= b:
+        acc = (g @ sq.astype(np.float64)).astype(np.int64)
+    else:
+        acc = np.zeros((n, c, h * w), dtype=np.int64)
+        mask = (np.int64(1) << b) - 1
+        for lo in range(0, top, b):
+            limb = ((sq >> lo) & mask).astype(np.float64)
+            acc += (g @ limb).astype(np.int64) << lo
+    return acc.reshape(n, c, h, w)
+
+
 def _sqrt_range_reduced(acc_q, acc_fmt, lut: SqrtLut, out_fmt):
     """sqrt of positive accumulator values via [1, 4) range reduction.
 
@@ -253,7 +280,7 @@ def _fixed_pipeline(x: Tensor, params: GdnParams, formats: GdnStageFormats,
             "gamma accumulate would overflow 64-bit intermediates; "
             "use fewer fraction bits"
         )
-    acc_raw = np.einsum("ij,njhw->nihw", gamma_q, sq)
+    acc_raw = _gamma_mac(gamma_q, sq)
     acc = rshift_round(
         acc_raw, formats.param.frac_bits + f_sq.frac_bits - f_acc.frac_bits
     )

@@ -148,9 +148,16 @@ class ModelSpec:
                 )
             prev = layer.out_channels
         if self.bit_widths is not None:
-            if len(self.bit_widths) != len(self.layers):
+            try:
+                count = len(self.bit_widths)
+            except TypeError:
+                raise ParameterError(
+                    f"bit widths must be integers, one per layer in a sequence; "
+                    f"got {self.bit_widths!r}"
+                ) from None
+            if count != len(self.layers):
                 raise ShapeError(
-                    f"bit_widths lists {len(self.bit_widths)} entries for "
+                    f"bit_widths lists {count} entries for "
                     f"{len(self.layers)} layers"
                 )
             try:

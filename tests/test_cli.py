@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lic_hw_kit import Tensor, load_model, save_model, save_tensor
+from lic_hw_kit.errors import FormatError, MalformedHeaderError, TruncatedPayloadError
 from lic_hw_kit.cli import main, read_ppm, write_ppm
 from conftest import make_encoder, rand_tensor
 
@@ -255,6 +256,43 @@ def test_tile_ppm_round_trip(tmp_path, rng):
     assert np.array_equal(tiled.data[:, :, :30, :40], img.data)
 
 
+_PPM_FAULTS = [
+    (b"P6\n4 2\n", MalformedHeaderError, "ppm header ended early"),
+    (b"P3\n1 1\n255\n\x00\x00\x00", MalformedHeaderError,
+     "unsupported ppm magic b'P3'; P6 only"),
+    (b"P6\n1 1\n65535\n\x00\x00\x00", MalformedHeaderError,
+     "ppm maxval must be 255; got 65535"),
+    (b"P6\n2 2\n255\n\x00\x00\x00", TruncatedPayloadError,
+     "ppm pixel data truncated"),
+    (b"P6\nx 2\n255\n\x00\x00\x00", MalformedHeaderError,
+     "ppm width, height and maxval must be decimal integers; got b'x', b'2', b'255'"),
+    (b"P6\n-1 2\n255\n\x00\x00\x00", MalformedHeaderError,
+     "ppm width, height and maxval must be decimal integers; got b'-1', b'2', b'255'"),
+]
+
+
+_PPM_FAULT_IDS = ["header-ends-early", "magic", "maxval", "truncated", "non-decimal",
+                  "negative"]
+
+
+@pytest.mark.parametrize("blob, error, message", _PPM_FAULTS, ids=_PPM_FAULT_IDS)
+def test_read_ppm_faults_are_format_errors(blob, error, message):
+    with pytest.raises(error) as info:
+        read_ppm(blob)
+    assert isinstance(info.value, FormatError)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("blob, error, message", _PPM_FAULTS, ids=_PPM_FAULT_IDS)
+def test_tile_bad_ppm_exits_4(tmp_path, capsys, blob, error, message):
+    src = tmp_path / "bad.ppm"
+    src.write_bytes(blob)
+    cfg = write_json(tmp_path / "tile.json",
+                     {"image": str(src), "target_h": 8, "target_w": 8})
+    assert main(["tile", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_tile_tensor_container(tmp_path, rng):
     img = rand_tensor(rng, (1, 2, 10, 10))
     src = tmp_path / "src.tns"
@@ -343,7 +381,7 @@ def with_header_field(blob, key, value):
             + blob[prefix + head_len:])
 
 
-@pytest.mark.parametrize("widths", [["a", 8, 8, 8, 8], [8, 8, 2.5, 8, 8]])
+@pytest.mark.parametrize("widths", [["a", 8, 8, 8, 8], [8, 8, 2.5, 8, 8], 5])
 def test_bad_bit_widths_in_container_exit_4(tmp_path, model_file, capsys,
                                             widths):
     path, _ = model_file

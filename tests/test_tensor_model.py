@@ -128,6 +128,13 @@ def test_bit_widths_must_be_integers(rng, widths):
                   layers=[make_conv(3, 4, rng=rng)], bit_widths=widths)
 
 
+@pytest.mark.parametrize("widths", [5, 8.0, np.int64(8)])
+def test_bit_widths_must_be_a_sequence(rng, widths):
+    with pytest.raises(ParameterError, match="bit widths must be integers"):
+        ModelSpec(name="m", role="main_encoder",
+                  layers=[make_conv(3, 4, rng=rng)], bit_widths=widths)
+
+
 def test_bit_widths_accept_integral_values(rng):
     m = ModelSpec(name="m", role="main_encoder",
                   layers=[make_conv(3, 4, rng=rng)], bit_widths=[np.int64(6)])
