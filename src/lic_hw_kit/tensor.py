@@ -22,6 +22,9 @@ from .errors import (
 
 __all__ = ["Tensor", "save_tensor", "load_tensor"]
 
+# elements per finiteness test in Tensor._seal (a 64 KiB boolean scratch)
+_FINITE_BLOCK = 1 << 16
+
 
 class Tensor:
     """Immutable 4-D float32 array with dims (n, c, h, w).
@@ -35,11 +38,34 @@ class Tensor:
     __slots__ = ("data",)
 
     def __init__(self, data):
-        arr = np.array(data, dtype=np.float32, order="C")  # own copy, never alias
+        self._seal(np.array(data, dtype=np.float32, order="C"))  # own copy, never alias
+
+    @classmethod
+    def _adopt(cls, arr):
+        """Wrap ``arr`` without copying it.
+
+        ``arr`` must be a fresh C-contiguous float32 array that no one else
+        holds: it is checked as ``Tensor(...)`` checks its copy, then made
+        read-only and kept. Used only where arrays reach hundreds of MB
+        (patch stacks and reassembled frames), where a second copy would
+        set the peak memory.
+        """
+        t = cls.__new__(cls)
+        t._seal(arr)
+        return t
+
+    def _seal(self, arr):
+        """Check rank and finiteness, freeze ``arr`` and keep it.
+
+        Finiteness is tested in fixed blocks of the flat view, so no
+        full-size boolean temporary is ever allocated.
+        """
         if arr.ndim != 4:
             raise ShapeError(f"tensor must be 4-D (n, c, h, w); got shape {arr.shape}")
-        if arr.size and not np.isfinite(arr).all():
-            raise DomainError("tensor contains non-finite elements")
+        flat = arr.reshape(-1)
+        for start in range(0, flat.size, _FINITE_BLOCK):
+            if not np.isfinite(flat[start:start + _FINITE_BLOCK]).all():
+                raise DomainError("tensor contains non-finite elements")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 

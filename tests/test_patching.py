@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lic_hw_kit import (
+    PatchGrid,
     ShapeError,
     Tensor,
     extract_patches,
@@ -152,3 +153,35 @@ def test_batched_input_rejected(rng):
     img = rand_tensor(rng, (2, 1, 300, 300))
     with pytest.raises(ShapeError):
         extract_patches(img, 256, 56)
+
+
+def grid_8x8(origins, clamped=None):
+    return PatchGrid(image_h=8, image_w=8, channels=1, patch=4, stride=4,
+                     origins=tuple(origins),
+                     clamped=tuple(clamped if clamped is not None
+                                   else [False] * len(origins)))
+
+
+QUAD = [(0, 0), (0, 4), (4, 0), (4, 4)]
+
+
+@pytest.mark.parametrize("bad", [(6, 6), (5, 0), (0, 5), (-2, 0), (0, -1)])
+def test_reassemble_rejects_origin_outside_image(bad):
+    grid = grid_8x8(QUAD + [bad])
+    patches = Tensor(np.ones((5, 1, 4, 4), dtype=np.float32))
+    with pytest.raises(ShapeError, match="outside"):
+        reassemble(patches, grid)
+
+
+def test_reassemble_rejects_clamp_flags_not_parallel_to_origins():
+    grid = grid_8x8(QUAD, clamped=[False] * 3)
+    patches = Tensor(np.ones((4, 1, 4, 4), dtype=np.float32))
+    with pytest.raises(ShapeError, match="clamp flags"):
+        reassemble(patches, grid)
+
+
+def test_reassemble_rejects_uncovered_pixels():
+    grid = grid_8x8(QUAD[:3])
+    patches = Tensor(np.ones((3, 1, 4, 4), dtype=np.float32))
+    with pytest.raises(ShapeError, match="uncovered"):
+        reassemble(patches, grid)

@@ -1,0 +1,192 @@
+"""Differential tests: copy-free patch extraction and in-place
+reassembly against the kernels they replaced.
+
+The oracles below are the package's earlier implementation, kept on raw
+arrays: extraction by ``np.stack`` of the slices, reassembly by a
+per-patch float64 ``astype`` add plus a per-patch ``cover`` map. Both
+sides add the same float64 values in the same row-major order and divide
+by the same integer counts, so every result must be bitwise equal, also
+for patches changed after extraction.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lic_hw_kit import PatchGrid, Tensor, extract_patches, reassemble
+
+
+def stack_origins(extent, patch, stride):
+    origins = list(range(0, extent - patch + 1, stride))
+    clamped = [False] * len(origins)
+    if origins[-1] + patch < extent:
+        origins.append(extent - patch)
+        clamped.append(True)
+    return origins, clamped
+
+
+def stack_extract(x, patch, stride):
+    """(1, C, H, W) float32 -> (patches, origins, clamped)."""
+    rows, rflags = stack_origins(x.shape[2], patch, stride)
+    cols, cflags = stack_origins(x.shape[3], patch, stride)
+    origins, clamped, slices = [], [], []
+    for r, rf in zip(rows, rflags):
+        for c, cf in zip(cols, cflags):
+            origins.append((r, c))
+            clamped.append(rf or cf)
+            slices.append(x[0, :, r:r + patch, c:c + patch])
+    return np.stack(slices, axis=0), tuple(origins), tuple(clamped)
+
+
+def loop_reassemble(patches, origins, h, w):
+    _, ch, k, _ = patches.shape
+    acc = np.zeros((ch, h, w), dtype=np.float64)
+    cover = np.zeros((h, w), dtype=np.float64)
+    for i, (r, c) in enumerate(origins):
+        acc[:, r:r + k, c:c + k] += patches[i].astype(np.float64)
+        cover[r:r + k, c:c + k] += 1.0
+    assert cover.min() >= 1.0
+    out = acc / cover[None, :, :]
+    return out[None].astype(np.float32)
+
+
+def float32_reassemble(patches, origins, h, w):
+    """Accumulates in float32: a fault the bitwise check must catch."""
+    _, ch, k, _ = patches.shape
+    acc = np.zeros((ch, h, w), dtype=np.float32)
+    cover = np.zeros((h, w), dtype=np.float32)
+    for i, (r, c) in enumerate(origins):
+        acc[:, r:r + k, c:c + k] += patches[i]
+        cover[r:r + k, c:c + k] += 1.0
+    return (acc / cover)[None]
+
+
+def band_first_reassemble(patches, origins, h, w):
+    """Sums each row band of patches first, then the bands: float64
+    throughout but a different order of adds, which the bitwise check
+    must also catch."""
+    _, ch, k, _ = patches.shape
+    acc = np.zeros((ch, h, w), dtype=np.float64)
+    cover = np.zeros((h, w), dtype=np.float64)
+    for r in sorted({r for r, _ in origins}):
+        band = np.zeros((ch, k, w), dtype=np.float64)
+        for i, (ri, c) in enumerate(origins):
+            if ri == r:
+                band[:, :, c:c + k] += patches[i].astype(np.float64)
+                cover[r:r + k, c:c + k] += 1.0
+        acc[:, r:r + k, :] += band
+    return (acc / cover[None])[None].astype(np.float32)
+
+
+def perturb(patches, seed):
+    """Rescale each patch by its own power of ten and add noise, so the
+    order of the float64 adds shows in the result."""
+    r = np.random.default_rng(seed)
+    scale = 10.0 ** r.uniform(-3.0, 3.0, (len(patches), 1, 1, 1))
+    noise = r.normal(0.0, 1.0, patches.shape)
+    return (patches * scale + noise).astype(np.float32)
+
+
+def frame(seed, ch, h, w):
+    r = np.random.default_rng(seed)
+    return r.uniform(-4.0, 4.0, (1, ch, h, w)).astype(np.float32)
+
+
+def check_against_oracle(x, patch, stride, seed):
+    ref_patches, ref_origins, ref_clamped = stack_extract(x, patch, stride)
+    patches, grid = extract_patches(Tensor(x), patch, stride)
+    assert np.array_equal(patches.data, ref_patches)
+    assert grid == PatchGrid(
+        image_h=x.shape[2], image_w=x.shape[3], channels=x.shape[1],
+        patch=patch, stride=stride, origins=ref_origins, clamped=ref_clamped,
+    )
+    assert np.array_equal(reassemble(patches, grid).data, x)
+    moved = perturb(ref_patches, seed)
+    back = reassemble(Tensor(moved), grid)
+    assert np.array_equal(back.data, loop_reassemble(moved, ref_origins, *x.shape[2:]))
+    return grid
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    ch=st.sampled_from([1, 2, 3]),
+    patch=st.integers(min_value=1, max_value=12),
+    extra_h=st.integers(min_value=0, max_value=25),
+    extra_w=st.integers(min_value=0, max_value=25),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_matches_stack_and_loop_oracles(seed, ch, patch, extra_h, extra_w, data):
+    stride = data.draw(st.integers(min_value=1, max_value=patch))
+    x = frame(seed, ch, patch + extra_h, patch + extra_w)
+    check_against_oracle(x, patch, stride, seed)
+
+
+@pytest.mark.parametrize("ch,h,w,patch,stride,clamps", [
+    (3, 20, 28, 8, 4, False),   # (20 - 8) and (28 - 8) are multiples of 4
+    (2, 21, 30, 8, 4, True),    # both axes need a clamped final origin
+    (1, 16, 27, 8, 4, True),    # only the columns clamp
+    (3, 300, 280, 256, 56, True),
+])
+def test_matches_oracles_with_and_without_clamping(ch, h, w, patch, stride, clamps):
+    grid = check_against_oracle(frame(7, ch, h, w), patch, stride, seed=11)
+    assert any(grid.clamped) == clamps
+
+
+def hand_grid(origins, h, w, ch, patch):
+    return PatchGrid(image_h=h, image_w=w, channels=ch, patch=patch, stride=1,
+                     origins=tuple(origins), clamped=(False,) * len(origins))
+
+
+def brute_force_check(origins, h, w, ch, patch, seed):
+    r = np.random.default_rng(seed)
+    raw = r.uniform(-1.0, 1.0, (len(origins), ch, patch, patch)).astype(np.float32)
+    moved = perturb(raw, seed)
+    out = reassemble(Tensor(moved), hand_grid(origins, h, w, ch, patch))
+    assert np.array_equal(out.data, loop_reassemble(moved, origins, h, w))
+
+
+def test_checkerboard_subset_grid_gets_brute_force_cover():
+    h, w, k = 10, 12, 4
+    origins = [(r, c) for r in range(h - k + 1) for c in range(w - k + 1)
+               if (r + c) % 2 == 0]
+    rows = {r for r, _ in origins}
+    cols = {c for _, c in origins}
+    assert len(origins) != len(rows) * len(cols)
+    brute_force_check(origins, h, w, 2, k, seed=3)
+
+
+def test_repeated_origin_counts_twice():
+    h, w, k = 12, 12, 6
+    origins = [(0, 0), (0, 6), (3, 3), (6, 0), (3, 3), (6, 6), (0, 0)]
+    brute_force_check(origins, h, w, 3, k, seed=5)
+
+
+def test_float32_and_band_first_accumulation_differ_from_oracle():
+    # 6x6 image, 4x4 patches at stride 2: the centre 2x2 pixels sum all
+    # four patches a, b, c, d in that order. Channel 0 needs float64
+    # (2**30 + 1 is not a float32); channel 1 needs the row-major order
+    # (in float64 ((a + b) + c) + d keeps d, but (a + b) + (c + d) loses
+    # both ones to rounding at 2**60).
+    values = np.array([[2.0**30, 1.0, -2.0**30, 0.0],
+                       [2.0**60, 1.0, -2.0**60, 1.0]], dtype=np.float32)
+    moved = np.ones((4, 2, 4, 4), dtype=np.float32) * values.T[:, :, None, None]
+    grid = extract_patches(Tensor(np.zeros((1, 2, 6, 6), dtype=np.float32)), 4, 2)[1]
+    ref = loop_reassemble(moved, grid.origins, 6, 6)
+    assert ref[0, 0, 2, 2] == ref[0, 1, 2, 2] == 0.25
+    assert np.array_equal(reassemble(Tensor(moved), grid).data, ref)
+    assert float32_reassemble(moved, grid.origins, 6, 6)[0, 0, 2, 2] == 0.0
+    assert band_first_reassemble(moved, grid.origins, 6, 6)[0, 1, 2, 2] == 0.0
+
+
+def test_outputs_are_fresh_frozen_float32():
+    img = Tensor(frame(29, 3, 40, 52))
+    patches, grid = extract_patches(img, 12, 4)
+    back = reassemble(patches, grid)
+    for t, sources in ((patches, [img]), (back, [img, patches])):
+        assert t.data.dtype == np.float32
+        assert t.data.flags.c_contiguous
+        assert not t.data.flags.writeable
+        for s in sources:
+            assert not np.shares_memory(t.data, s.data)

@@ -20,6 +20,7 @@ from lic_hw_kit import (
     relu_forward,
     save_tensor,
 )
+from lic_hw_kit.tensor import _FINITE_BLOCK
 from conftest import make_conv, make_encoder, make_gdn, rand_tensor
 
 
@@ -46,6 +47,47 @@ def test_tensor_rejects_nonfinite():
     bad[0, 0, 0, 0] = np.nan
     with pytest.raises(DomainError):
         Tensor(bad)
+
+
+BUILDERS = [Tensor, Tensor._adopt]
+
+
+@pytest.mark.parametrize("build", BUILDERS)
+@pytest.mark.parametrize("shape", [(2, 3, 4), (1, 1, 1, 2, 2), ()])
+def test_adopt_rejects_wrong_rank_like_constructor(build, shape):
+    with pytest.raises(ShapeError):
+        build(np.zeros(shape, dtype=np.float32))
+
+
+@pytest.mark.parametrize("build", BUILDERS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adopt_rejects_nonfinite_like_constructor(build, bad):
+    arr = np.zeros((1, 2, 3, 4), dtype=np.float32)
+    arr[0, 1, 2, 3] = bad
+    with pytest.raises(DomainError):
+        build(arr)
+
+
+@pytest.mark.parametrize("build", BUILDERS)
+@pytest.mark.parametrize("where", [0, _FINITE_BLOCK, 2 * _FINITE_BLOCK + 4])
+def test_blocked_finite_check_sees_every_block(build, where):
+    # three blocks, the last one partial (5 elements)
+    arr = np.zeros((1, 1, 1, 2 * _FINITE_BLOCK + 5), dtype=np.float32)
+    arr.reshape(-1)[where] = np.nan
+    with pytest.raises(DomainError):
+        build(arr)
+
+
+@pytest.mark.parametrize("build", BUILDERS)
+def test_empty_tensor_accepted(build):
+    assert build(np.zeros((0, 3, 4, 4), dtype=np.float32)).size == 0
+
+
+def test_adopt_keeps_the_array_and_freezes_it():
+    arr = np.arange(24, dtype=np.float32).reshape(1, 2, 3, 4)
+    t = Tensor._adopt(arr)
+    assert t.data is arr
+    assert not arr.flags.writeable
 
 
 def test_tensor_is_immutable_and_detached():
