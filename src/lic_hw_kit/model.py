@@ -45,6 +45,18 @@ MODEL_ROLES = (
 )
 
 
+def integral_bits(value) -> int:
+    """value as an int bit width: integral numbers pass (8 and 8.0 alike);
+    anything else, such as 8.5, "8" or None, raises ParameterError."""
+    try:
+        bits = int(value)
+    except (TypeError, ValueError, OverflowError):
+        bits = None
+    if bits is None or bits != value:
+        raise ParameterError(f"bit widths must be integers; got {value!r}")
+    return bits
+
+
 def _frozen(arr, dtype):
     out = np.array(arr, dtype=dtype, order="C")
     out.flags.writeable = False
@@ -117,12 +129,53 @@ class LayerSpec:
             if self.weights is not None or self.bias is not None:
                 raise ParameterError("relu layer does not take weights")
 
+    @staticmethod
+    def tensor_shapes(kind: str, in_channels: int, out_channels: int,
+                      kernel: int = 1) -> dict:
+        """{role: shape} of the tensors a layer of this kind carries, in
+        the order tensors() lists them; containers size their payload
+        sections from it before the layer exists."""
+        if kind in ("conv", "deconv"):
+            return {"weights": (out_channels, in_channels, kernel, kernel),
+                    "bias": (out_channels,)}
+        if kind in ("gdn", "igdn"):
+            return {"beta": (out_channels,),
+                    "gamma": (out_channels, out_channels)}
+        return {}
+
+    def tensors(self) -> dict:
+        """The parameter tensors as an ordered {role: array}: weights
+        then bias for conv/deconv, beta then gamma for gdn/igdn, none
+        for relu. Calibration, quantization, containers and pruning walk
+        this table rather than the kinds."""
+        if self.gdn_params is not None:
+            return {"beta": self.gdn_params.beta, "gamma": self.gdn_params.gamma}
+        if self.weights is not None:
+            return {"weights": self.weights, "bias": self.bias}
+        return {}
+
+    def scalars(self) -> dict:
+        """Every field but the tensors (alpha only for gdn/igdn); with
+        tensors() it describes the layer, and from_tensors() rebuilds it."""
+        out = {"kind": self.kind, "in_channels": self.in_channels,
+               "out_channels": self.out_channels, "kernel": self.kernel,
+               "stride": self.stride, "padding": self.padding}
+        if self.gdn_params is not None:
+            out["alpha"] = self.gdn_params.alpha
+        return out
+
+    @classmethod
+    def from_tensors(cls, tensors: dict, alpha: float = 0.5,
+                     **scalars) -> "LayerSpec":
+        """Build a layer from a tensor table keyed like tensors() and the
+        scalar fields; alpha only matters for gdn/igdn."""
+        if scalars.get("kind") in ("gdn", "igdn"):
+            return cls(**scalars, gdn_params=GdnParams(
+                beta=tensors["beta"], gamma=tensors["gamma"], alpha=alpha))
+        return cls(**scalars, **tensors)
+
     def param_count(self) -> int:
-        if self.kind in ("conv", "deconv"):
-            return int(self.weights.size + self.bias.size)
-        if self.kind in ("gdn", "igdn"):
-            return int(self.gdn_params.beta.size + self.gdn_params.gamma.size)
-        return 0
+        return sum(int(t.size) for t in self.tensors().values())
 
 
 @dataclass(frozen=True)
@@ -160,14 +213,7 @@ class ModelSpec:
                     f"bit_widths lists {count} entries for "
                     f"{len(self.layers)} layers"
                 )
-            try:
-                widths = [int(b) for b in self.bit_widths]
-            except (TypeError, ValueError, OverflowError):
-                widths = None
-            if widths is None or widths != list(self.bit_widths):
-                raise ParameterError(
-                    f"bit widths must be integers; got {self.bit_widths!r}"
-                )
+            widths = [integral_bits(b) for b in self.bit_widths]
             if any(b < 1 for b in widths):
                 raise ParameterError("bit widths must be positive")
             object.__setattr__(self, "bit_widths", widths)
@@ -294,21 +340,28 @@ _FORWARD = {
 }
 
 
-def model_forward(model: ModelSpec, x: Tensor, record: bool = False):
-    """Run the stack; with record=True also return each layer's output.
+def model_forward(model: ModelSpec, x: Tensor, on_layer=None) -> Tensor:
+    """Run the stack and return the last layer's output.
+
+    on_layer(index, layer, out), when given, runs after every layer on
+    that layer's output; a Tensor it returns replaces the output passed
+    on to the next layer, and None keeps it. Calibration observes
+    activations through it and fake-quant rounds them, so this is the
+    only loop over layers in the package.
 
     Layer failures are re-raised with the layer index prepended.
     """
-    acts = [] if record else None
     cur = x
     for i, layer in enumerate(model.layers):
         try:
             cur = _FORWARD[layer.kind](cur, layer)
         except ToolkitError as e:
             raise type(e)(f"layer {i} ({layer.kind}): {e}") from e
-        if record:
-            acts.append(cur)
-    return (cur, acts) if record else cur
+        if on_layer is not None:
+            hooked = on_layer(i, layer, cur)
+            if hooked is not None:
+                cur = hooked
+    return cur
 
 
 @dataclass

@@ -26,8 +26,13 @@ from .errors import (
     TruncatedPayloadError,
     VersionMismatchError,
 )
-from .gdn import GdnParams
 from .model import LayerSpec, ModelSpec
+from .quantizer import (
+    QuantizedModel,
+    QuantParams,
+    dequantize_tensors,
+    int_dtype,
+)
 
 __all__ = [
     "save_model",
@@ -42,37 +47,9 @@ _VERSION = 1
 _LEN = struct.Struct("<Q")
 _PREFIX = struct.Struct("<4sI Q")
 
-_TENSOR_ROLES = {
-    "conv": ("weights", "bias"),
-    "deconv": ("weights", "bias"),
-    "gdn": ("beta", "gamma"),
-    "igdn": ("beta", "gamma"),
-    "relu": (),
-}
-
 _ROLE_DTYPE = {"weights": "<f4", "bias": "<f4", "beta": "<f8", "gamma": "<f8"}
-
-
-def _layer_header(layer: LayerSpec) -> dict:
-    h = {
-        "kind": layer.kind,
-        "in_channels": layer.in_channels,
-        "out_channels": layer.out_channels,
-        "kernel": layer.kernel,
-        "stride": layer.stride,
-        "padding": layer.padding,
-    }
-    if layer.kind in ("gdn", "igdn"):
-        h["alpha"] = layer.gdn_params.alpha
-    return h
-
-
-def _layer_payloads(layer: LayerSpec):
-    if layer.kind in ("conv", "deconv"):
-        return [layer.weights, layer.bias]
-    if layer.kind in ("gdn", "igdn"):
-        return [layer.gdn_params.beta, layer.gdn_params.gamma]
-    return []
+_LAYER_FIELDS = ("kind", "in_channels", "out_channels", "kernel", "stride",
+                 "padding")
 
 
 def _pack(magic: bytes, header: dict, payloads) -> bytes:
@@ -138,62 +115,34 @@ def save_model(model: ModelSpec) -> bytes:
         "name": model.name,
         "role": model.role,
         "bit_widths": model.bit_widths,
-        "layers": [_layer_header(l) for l in model.layers],
+        "layers": [layer.scalars() for layer in model.layers],
     }
-    payloads = []
-    for layer in model.layers:
-        for arr, role in zip(_layer_payloads(layer),
-                             _TENSOR_ROLES[layer.kind]):
-            payloads.append(np.asarray(arr, dtype=_ROLE_DTYPE[role]))
+    payloads = [np.asarray(arr, dtype=_ROLE_DTYPE[role])
+                for layer in model.layers
+                for role, arr in layer.tensors().items()]
     return _pack(_MODEL_MAGIC, header, payloads)
 
 
-def _tensor_shapes(entry: dict):
-    kind = entry["kind"]
-    cin, cout, k = entry["in_channels"], entry["out_channels"], entry["kernel"]
-    if kind in ("conv", "deconv"):
-        return [((cout, cin, k, k), "weights"), ((cout,), "bias")]
-    if kind in ("gdn", "igdn"):
-        return [((cout,), "beta"), ((cout, cout), "gamma")]
-    return []
+def _tensor_shapes(entry: dict) -> dict:
+    return LayerSpec.tensor_shapes(entry["kind"], entry["in_channels"],
+                                   entry["out_channels"], entry["kernel"])
 
 
-def _build_layer(entry: dict, arrays: dict) -> LayerSpec:
-    kind = entry["kind"]
-    common = dict(
-        kind=kind,
-        in_channels=entry["in_channels"],
-        out_channels=entry["out_channels"],
-        kernel=entry["kernel"],
-        stride=entry["stride"],
-        padding=entry["padding"],
-    )
-    if kind in ("conv", "deconv"):
-        return LayerSpec(**common, weights=arrays["weights"], bias=arrays["bias"])
-    if kind in ("gdn", "igdn"):
-        params = GdnParams(beta=arrays["beta"], gamma=arrays["gamma"],
-                           alpha=entry.get("alpha", 0.5))
-        return LayerSpec(**common, gdn_params=params)
-    return LayerSpec(**common)
+def _build_layer(entry: dict, tensors: dict) -> LayerSpec:
+    return LayerSpec.from_tensors(tensors, alpha=entry.get("alpha", 0.5),
+                                  **{f: entry[f] for f in _LAYER_FIELDS})
 
 
 def load_model(buf: bytes) -> ModelSpec:
     header, off = _unpack(buf, _MODEL_MAGIC)
     try:
         entries = header["layers"]
-        shapes = []
-        for entry in entries:
-            shapes.extend((shape, _ROLE_DTYPE[role])
-                          for shape, role in _tensor_shapes(entry))
-        sections = _read_sections(buf, off, shapes)
-        layers = []
-        i = 0
-        for entry in entries:
-            arrays = {}
-            for _, role in _tensor_shapes(entry):
-                arrays[role] = sections[i]
-                i += 1
-            layers.append(_build_layer(entry, arrays))
+        shapes = [_tensor_shapes(entry) for entry in entries]
+        sections = iter(_read_sections(
+            buf, off, [(shape, _ROLE_DTYPE[role])
+                       for table in shapes for role, shape in table.items()]))
+        layers = [_build_layer(entry, {role: next(sections) for role in table})
+                  for entry, table in zip(entries, shapes)]
         return ModelSpec(
             name=header["name"],
             layers=layers,
@@ -204,20 +153,12 @@ def load_model(buf: bytes) -> ModelSpec:
         raise MalformedHeaderError(f"model header missing field: {e}") from e
 
 
-def _int_dtype(bits: int) -> str:
-    if bits <= 8:
-        return "<i1"
-    if bits <= 16:
-        return "<i2"
-    return "<i4"
-
-
 def save_quantized_model(qm) -> bytes:
     """Serialize a quantizer.QuantizedModel."""
     tensors = []
     payloads = []
     for li, layer in enumerate(qm.model.layers):
-        for role in _TENSOR_ROLES[layer.kind]:
+        for role in layer.tensors():
             p = qm.tensor_params[(li, role)]
             tensors.append({
                 "layer": li,
@@ -228,7 +169,7 @@ def save_quantized_model(qm) -> bytes:
                 "saturated": qm.saturation.get((li, role), 0),
             })
             payloads.append(np.asarray(qm.payloads[(li, role)],
-                                       dtype=_int_dtype(p.bits)))
+                                       dtype=int_dtype(p.bits)))
     activations = [
         {"layer": li, "bits": p.bits, "scale": p.scale, "zero_point": p.zero_point}
         for li, p in sorted(qm.activation_params.items())
@@ -238,7 +179,7 @@ def save_quantized_model(qm) -> bytes:
         "name": qm.model.name,
         "role": qm.model.role,
         "bit_widths": qm.model.bit_widths,
-        "layers": [_layer_header(l) for l in qm.model.layers],
+        "layers": [layer.scalars() for layer in qm.model.layers],
         "quant": {"tensors": tensors, "activations": activations},
     }
     return _pack(_QUANT_MAGIC, header, payloads)
@@ -247,41 +188,29 @@ def save_quantized_model(qm) -> bytes:
 def load_quantized_model(buf: bytes):
     """Rebuild a quantizer.QuantizedModel; the embedded ModelSpec holds
     the dequantized parameters."""
-    from .quantizer import QuantParams, QuantizedModel, dequantize
-
     header, off = _unpack(buf, _QUANT_MAGIC)
     try:
         entries = header["layers"]
         tensors = header["quant"]["tensors"]
-        shape_by_key = {}
-        for li, entry in enumerate(entries):
-            for shape, role in _tensor_shapes(entry):
-                shape_by_key[(li, role)] = shape
-        shapes = []
-        for t in tensors:
-            shapes.append((shape_by_key[(t["layer"], t["role"])],
-                           _int_dtype(t["bits"])))
-        sections = _read_sections(buf, off, shapes)
+        shapes = [_tensor_shapes(entry) for entry in entries]
+        shape_by_key = {(li, role): shape for li, table in enumerate(shapes)
+                        for role, shape in table.items()}
+        sections = _read_sections(buf, off, [
+            (shape_by_key[(t["layer"], t["role"])], int_dtype(t["bits"]))
+            for t in tensors])
 
         tensor_params, payloads, saturation = {}, {}, {}
-        deq = {}
         for t, arr in zip(tensors, sections):
             key = (t["layer"], t["role"])
-            p = QuantParams(scale=t["scale"], zero_point=t["zero_point"],
-                            bits=t["bits"])
-            tensor_params[key] = p
+            tensor_params[key] = QuantParams(scale=t["scale"],
+                                             zero_point=t["zero_point"],
+                                             bits=t["bits"])
             payloads[key] = arr
             saturation[key] = t.get("saturated", 0)
-            deq[key] = dequantize(arr, p)
 
-        layers = []
-        for li, entry in enumerate(entries):
-            arrays = {role: deq[(li, role)] for _, role in _tensor_shapes(entry)}
-            if entry["kind"] in ("gdn", "igdn"):
-                # quantization floors beta at one step, never zero
-                arrays["beta"] = np.maximum(arrays["beta"],
-                                            tensor_params[(li, "beta")].scale)
-            layers.append(_build_layer(entry, arrays))
+        layers = [_build_layer(entry, dequantize_tensors(li, table, tensor_params,
+                                                         payloads))
+                  for li, (entry, table) in enumerate(zip(entries, shapes))]
         model = ModelSpec(name=header["name"], layers=layers, role=header["role"],
                           bit_widths=header.get("bit_widths"))
         activation_params = {

@@ -24,10 +24,11 @@ float32), so both directions avoid copies the result does not need:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ParameterError, ShapeError
 from .tensor import Tensor
 
 __all__ = ["PatchGrid", "tile_to_resolution", "extract_patches", "reassemble"]
@@ -85,6 +86,10 @@ def extract_patches(image: Tensor, patch: int = 256, stride: int = 56):
     """
     if image.n != 1:
         raise ShapeError(f"patch extraction expects a single image; n={image.n}")
+    if not (isinstance(patch, Integral) and isinstance(stride, Integral)):
+        raise ParameterError(
+            f"patch and stride must be integers; got {patch!r} and {stride!r}"
+        )
     if patch < 1 or stride < 1:
         raise ShapeError("patch and stride must be positive")
     rows, rflags = _axis_origins(image.h, patch, stride)
@@ -120,6 +125,8 @@ def reassemble(patches: Tensor, grid: PatchGrid) -> Tensor:
     h, w = grid.image_h, grid.image_w
     diff = np.zeros((h + 1, w + 1), dtype=np.float64)
     for r, c in grid.origins:
+        if not (isinstance(r, Integral) and isinstance(c, Integral)):
+            raise ShapeError(f"origin {(r, c)} is not a pair of integers")
         if not (0 <= r <= h - k and 0 <= c <= w - k):
             raise ShapeError(
                 f"origin {(r, c)} puts a {k}x{k} patch outside the {h}x{w} image"

@@ -21,7 +21,6 @@ from math import floor
 import numpy as np
 
 from .errors import ParameterError, PruningError
-from .gdn import GdnParams
 from .model import LayerSpec, ModelSpec, flops_of
 
 __all__ = [
@@ -101,39 +100,25 @@ def prunable_layer_indices(model: ModelSpec) -> list:
 
 def _apply_keeps(model: ModelSpec, keep_out: dict) -> ModelSpec:
     """Rebuild the stack with the given surviving output filters per
-    conv/deconv index, propagating channel removals downstream."""
+    conv/deconv index, propagating channel removals downstream.
+
+    Every tensor's first axis is the output channel and its second, if
+    any, the input channel (gdn's gamma is square over the channels a
+    gdn layer passes through).
+    """
     layers = []
     keep_in = np.arange(model.layers[0].in_channels) if model.layers else None
     for li, layer in enumerate(model.layers):
         if layer.kind in ("conv", "deconv"):
             keep = keep_out.get(li, np.arange(layer.out_channels))
-            layers.append(LayerSpec(
-                kind=layer.kind,
-                in_channels=len(keep_in),
-                out_channels=len(keep),
-                kernel=layer.kernel, stride=layer.stride, padding=layer.padding,
-                weights=layer.weights[np.ix_(keep, keep_in)],
-                bias=layer.bias[keep],
-            ))
-            keep_in = keep
-        elif layer.kind in ("gdn", "igdn"):
-            p = layer.gdn_params
-            layers.append(LayerSpec(
-                kind=layer.kind,
-                in_channels=len(keep_in),
-                out_channels=len(keep_in),
-                gdn_params=GdnParams(
-                    beta=p.beta[keep_in],
-                    gamma=p.gamma[np.ix_(keep_in, keep_in)],
-                    alpha=p.alpha,
-                ),
-            ))
-        else:
-            layers.append(LayerSpec(
-                kind="relu",
-                in_channels=len(keep_in),
-                out_channels=len(keep_in),
-            ))
+        else:  # gdn, igdn and relu pass their input channels through
+            keep = keep_in
+        tensors = {role: t[np.ix_(keep, keep_in)] if t.ndim > 1 else t[keep]
+                   for role, t in layer.tensors().items()}
+        layers.append(LayerSpec.from_tensors(
+            tensors, **{**layer.scalars(), "in_channels": len(keep_in),
+                        "out_channels": len(keep)}))
+        keep_in = keep
     return ModelSpec(name=model.name, layers=layers, role=model.role,
                      bit_widths=model.bit_widths)
 

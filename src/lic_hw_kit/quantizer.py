@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CalibrationError, ParameterError, ShapeError
-from .gdn import GdnParams, gdn_float, igdn_float
-from .model import ModelSpec, conv2d_forward, deconv2d_forward, model_forward, relu_forward
+from .model import LayerSpec, ModelSpec, integral_bits, model_forward
 from .tensor import Tensor
 
 __all__ = [
@@ -106,17 +105,15 @@ def calibrate(model: ModelSpec, calibration_set) -> CalibrationStats:
         raise CalibrationError("calibration set is empty")
     stats = CalibrationStats()
     for li, layer in enumerate(model.layers):
-        if layer.kind in ("conv", "deconv"):
-            stats.observe(li, "weights", layer.weights)
-            stats.observe(li, "bias", layer.bias)
-        elif layer.kind in ("gdn", "igdn"):
-            stats.observe(li, "beta", layer.gdn_params.beta)
-            stats.observe(li, "gamma", layer.gdn_params.gamma)
+        for role, arr in layer.tensors().items():
+            stats.observe(li, role, arr)
+
+    def observe(li, layer, out):
+        stats.observe(li, "activation", out.data)
+
     for x in inputs:
         stats.observe(INPUT_INDEX, "activation", x.data)
-        _, acts = model_forward(model, x, record=True)
-        for li, act in enumerate(acts):
-            stats.observe(li, "activation", act.data)
+        model_forward(model, x, on_layer=observe)
     return stats
 
 
@@ -132,8 +129,7 @@ class QuantParams:
     def __post_init__(self):
         if self.zero_point != 0:
             raise ParameterError("symmetric quantization pins zero_point at 0")
-        if not 2 <= self.bits <= 32:
-            raise ParameterError(f"bits must lie in [2, 32]; got {self.bits}")
+        object.__setattr__(self, "bits", _check_bits(self.bits))
         if not self.scale > 0:
             raise ParameterError("scale must be strictly positive")
 
@@ -146,11 +142,17 @@ class QuantParams:
         return -self.qmax
 
 
+def _check_bits(bits) -> int:
+    bits = integral_bits(bits)
+    if not 2 <= bits <= 32:
+        raise ParameterError(f"bits must lie in [2, 32]; got {bits}")
+    return bits
+
+
 def quant_params_from_stats(rng: StatRange, bits: int) -> QuantParams:
     """Scale from the observed range; degenerate all-zero ranges fall back
     to a floor scale and are flagged."""
-    if not 2 <= bits <= 32:
-        raise ParameterError(f"bits must lie in [2, 32]; got {bits}")
+    bits = _check_bits(bits)
     bound = max(abs(rng.min_val), abs(rng.max_val))
     levels = (1 << (bits - 1)) - 1
     if bound == 0.0:
@@ -159,12 +161,13 @@ def quant_params_from_stats(rng: StatRange, bits: int) -> QuantParams:
     return QuantParams(scale=bound / levels, zero_point=0, bits=bits)
 
 
-def _int_dtype(bits: int):
+def int_dtype(bits: int) -> str:
+    """Narrowest little-endian integer type that holds a bits-wide payload."""
     if bits <= 8:
-        return np.int8
+        return "<i1"
     if bits <= 16:
-        return np.int16
-    return np.int32
+        return "<i2"
+    return "<i4"
 
 
 def quantize_with_stats(x, p: QuantParams):
@@ -174,7 +177,7 @@ def quantize_with_stats(x, p: QuantParams):
     q = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
     clipped = np.clip(q, p.qmin, p.qmax)
     n_sat = int(np.count_nonzero(clipped != q))
-    return clipped.astype(_int_dtype(p.bits)), n_sat
+    return clipped.astype(int_dtype(p.bits)), n_sat
 
 
 def quantize(x, p: QuantParams):
@@ -187,8 +190,8 @@ def dequantize(q, p: QuantParams):
     return np.asarray(q, dtype=np.float64) * p.scale
 
 
-def _qdq(x, p: QuantParams):
-    return dequantize(quantize(x, p), p)
+def _qdq(x: Tensor, p: QuantParams) -> Tensor:
+    return Tensor(dequantize(quantize(x.data, p), p))
 
 
 @dataclass(frozen=True)
@@ -200,9 +203,15 @@ class PrecisionPolicy:
     gdn_bits: int = 32
     overrides: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        object.__setattr__(self, "default_bits", integral_bits(self.default_bits))
+        object.__setattr__(self, "gdn_bits", integral_bits(self.gdn_bits))
+        object.__setattr__(self, "overrides", {
+            li: integral_bits(b) for li, b in self.overrides.items()})
+
     def resolve(self, layer_index: int, layer) -> int:
         if layer_index in self.overrides:
-            return int(self.overrides[layer_index])
+            return self.overrides[layer_index]
         if layer is not None and layer.kind in ("gdn", "igdn"):
             return self.gdn_bits
         return self.default_bits
@@ -233,12 +242,6 @@ class QuantizedModel:
         return rows
 
 
-def _quantize_beta(beta, p: QuantParams):
-    """Beta rounds up to at least one step: the pool must stay positive."""
-    q, n = quantize_with_stats(beta, p)
-    return np.maximum(q, 1).astype(q.dtype), n
-
-
 def ptq(model: ModelSpec, stats: CalibrationStats,
         policy: PrecisionPolicy = PrecisionPolicy()) -> QuantizedModel:
     """Post-training quantization of every parameter tensor.
@@ -250,22 +253,14 @@ def ptq(model: ModelSpec, stats: CalibrationStats,
     activation_params = {}
     for li, layer in enumerate(model.layers):
         bits = policy.resolve(li, layer)
-        if layer.kind in ("conv", "deconv"):
-            roles = (("weights", layer.weights), ("bias", layer.bias))
-        elif layer.kind in ("gdn", "igdn"):
-            roles = (("beta", layer.gdn_params.beta),
-                     ("gamma", layer.gdn_params.gamma))
-        else:
-            roles = ()
-        for role, arr in roles:
+        for role, arr in layer.tensors().items():
+            key = (li, role)
             p = quant_params_from_stats(stats.get(li, role), bits)
+            q, saturation[key] = quantize_with_stats(arr, p)
             if role == "beta":
-                q, n = _quantize_beta(arr, p)
-            else:
-                q, n = quantize_with_stats(arr, p)
-            tensor_params[(li, role)] = p
-            payloads[(li, role)] = q
-            saturation[(li, role)] = n
+                # beta rounds up to at least one step: the pool must stay positive
+                q = np.maximum(q, 1).astype(q.dtype)
+            tensor_params[key], payloads[key] = p, q
         activation_params[li] = quant_params_from_stats(
             stats.get(li, "activation"), bits
         )
@@ -282,86 +277,55 @@ def ptq(model: ModelSpec, stats: CalibrationStats,
     )
 
 
-def dequantize_model(qm: QuantizedModel) -> ModelSpec:
-    """Materialize the float model the integer payloads represent."""
-    from .model import LayerSpec
+def dequantize_tensors(layer_index: int, roles, tensor_params: dict,
+                       payloads: dict) -> dict:
+    """{role: float64 array} for one layer's integer payloads.
 
-    layers = []
-    for li, layer in enumerate(qm.model.layers):
-        if layer.kind in ("conv", "deconv"):
-            layers.append(LayerSpec(
-                kind=layer.kind,
-                in_channels=layer.in_channels,
-                out_channels=layer.out_channels,
-                kernel=layer.kernel, stride=layer.stride, padding=layer.padding,
-                weights=dequantize(qm.payloads[(li, "weights")],
-                                   qm.tensor_params[(li, "weights")]),
-                bias=dequantize(qm.payloads[(li, "bias")],
-                                qm.tensor_params[(li, "bias")]),
-            ))
-        elif layer.kind in ("gdn", "igdn"):
-            beta_p = qm.tensor_params[(li, "beta")]
-            beta = dequantize(qm.payloads[(li, "beta")], beta_p)
-            gamma = dequantize(qm.payloads[(li, "gamma")],
-                               qm.tensor_params[(li, "gamma")])
-            params = GdnParams(beta=np.maximum(beta, beta_p.scale), gamma=gamma,
-                               alpha=layer.gdn_params.alpha)
-            layers.append(LayerSpec(
-                kind=layer.kind,
-                in_channels=layer.in_channels,
-                out_channels=layer.out_channels,
-                gdn_params=params,
-            ))
-        else:
-            layers.append(layer)
+    Beta is floored at one step, as ptq stores it, so the pool stays
+    positive even for a payload of 0 or below from a hand-built
+    container.
+    """
+    out = {role: dequantize(payloads[(layer_index, role)],
+                            tensor_params[(layer_index, role)])
+           for role in roles}
+    if "beta" in out:
+        out["beta"] = np.maximum(out["beta"],
+                                 tensor_params[(layer_index, "beta")].scale)
+    return out
+
+
+def dequantize_model(qm: QuantizedModel) -> ModelSpec:
+    """Materialize the float model the integer payloads represent: every
+    layer rebuilt from its dequantized tensor table, other fields kept."""
+    layers = [
+        LayerSpec.from_tensors(
+            dequantize_tensors(li, layer.tensors(), qm.tensor_params, qm.payloads),
+            **layer.scalars())
+        for li, layer in enumerate(qm.model.layers)
+    ]
     return ModelSpec(name=qm.model.name, layers=layers, role=qm.model.role,
                      bit_widths=qm.model.bit_widths)
 
 
 def fake_quant_forward(model: ModelSpec, stats: CalibrationStats,
                        policy: PrecisionPolicy, x: Tensor) -> Tensor:
-    """Forward pass with quantize-dequantize inserted on weights and
-    activations, emulating integer inference in float arithmetic.
+    """Integer inference emulated in float arithmetic: the reference
+    forward of dequantize_model(ptq(model, stats, policy)), with
+    quantize-dequantize on the input and on every layer's output.
 
-    Normalization layers run at the policy's gdn width, parameters
-    included. The input is treated as the INPUT_INDEX activation.
+    Each layer's parameters and output share the width the policy
+    resolves for it, so normalization layers run at the gdn width. The
+    input is the INPUT_INDEX activation, at the default width.
     """
     in_p = quant_params_from_stats(stats.get(INPUT_INDEX, "activation"),
                                    policy.default_bits)
-    cur = Tensor(_qdq(x.data, in_p).reshape(x.dims))
-    for li, layer in enumerate(model.layers):
-        bits = policy.resolve(li, layer)
-        if layer.kind in ("conv", "deconv"):
-            wp = quant_params_from_stats(stats.get(li, "weights"), bits)
-            bp = quant_params_from_stats(stats.get(li, "bias"), bits)
-            from .model import LayerSpec
+    qm = ptq(model, stats, policy)
 
-            qlayer = LayerSpec(
-                kind=layer.kind,
-                in_channels=layer.in_channels,
-                out_channels=layer.out_channels,
-                kernel=layer.kernel, stride=layer.stride, padding=layer.padding,
-                weights=_qdq(layer.weights, wp),
-                bias=_qdq(layer.bias, bp),
-            )
-            fwd = conv2d_forward if layer.kind == "conv" else deconv2d_forward
-            cur = fwd(cur, qlayer)
-        elif layer.kind in ("gdn", "igdn"):
-            bp = quant_params_from_stats(stats.get(li, "beta"), bits)
-            gp = quant_params_from_stats(stats.get(li, "gamma"), bits)
-            beta_q, _ = _quantize_beta(layer.gdn_params.beta, bp)
-            params = GdnParams(
-                beta=dequantize(beta_q, bp),
-                gamma=_qdq(layer.gdn_params.gamma, gp),
-                alpha=layer.gdn_params.alpha,
-            )
-            op = gdn_float if layer.kind == "gdn" else igdn_float
-            cur = op(cur, params)
-        else:
-            cur = relu_forward(cur, layer)
-        ap = quant_params_from_stats(stats.get(li, "activation"), bits)
-        cur = Tensor(_qdq(cur.data, ap).reshape(cur.dims))
-    return cur
+    def qdq_activation(li, layer, out):
+        return _qdq(out, qm.activation_params[li])
+
+    return model_forward(dequantize_model(qm), _qdq(x, in_p),
+                         on_layer=qdq_activation)
 
 
 def ste_grad(upstream, x, p: QuantParams):

@@ -110,6 +110,20 @@ def test_quantized_container_distinct_magic(rng):
         load_quantized_model(mblob)
 
 
+def test_quantized_load_floors_beta_at_one_step(rng):
+    qm = _quantized(rng)
+    key = (1, "beta")
+    payload = qm.payloads[key].copy()
+    payload[:2] = [0, -3]
+    qm.payloads[key] = payload
+    back = load_quantized_model(save_quantized_model(qm))
+    step = qm.tensor_params[key].scale
+    beta = back.model.layers[1].gdn_params.beta
+    assert beta[0] == step and beta[1] == step
+    assert np.array_equal(beta[2:], payload[2:] * step)
+    assert np.array_equal(back.payloads[key], payload)
+
+
 def test_quantized_load_reconstructs_runnable_model(rng):
     from lic_hw_kit import model_forward
     qm = _quantized(rng)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lic_hw_kit import (
+    ParameterError,
     PatchGrid,
     ShapeError,
     Tensor,
@@ -149,6 +150,20 @@ def test_reassemble_validates_patch_dims(rng):
         reassemble(squeezed, grid)
 
 
+@pytest.mark.parametrize("patch,stride", [(2.5, 1), (4, 1.5), (4.0, 2), ("4", 2)])
+def test_extract_rejects_non_integral_geometry(rng, patch, stride):
+    img = rand_tensor(rng, (1, 1, 8, 8))
+    with pytest.raises(ParameterError, match="integers"):
+        extract_patches(img, patch, stride)
+
+
+def test_extract_accepts_numpy_integer_geometry(rng):
+    img = rand_tensor(rng, (1, 1, 8, 8))
+    patches, grid = extract_patches(img, np.int64(4), np.int32(4))
+    assert patches.dims == (4, 1, 4, 4)
+    assert np.array_equal(reassemble(patches, grid).data, img.data)
+
+
 def test_batched_input_rejected(rng):
     img = rand_tensor(rng, (2, 1, 300, 300))
     with pytest.raises(ShapeError):
@@ -170,6 +185,14 @@ def test_reassemble_rejects_origin_outside_image(bad):
     grid = grid_8x8(QUAD + [bad])
     patches = Tensor(np.ones((5, 1, 4, 4), dtype=np.float32))
     with pytest.raises(ShapeError, match="outside"):
+        reassemble(patches, grid)
+
+
+@pytest.mark.parametrize("bad", [(1.5, 0), (0, 2.0)])
+def test_reassemble_rejects_non_integral_origin(bad):
+    grid = grid_8x8(QUAD + [bad])
+    patches = Tensor(np.ones((5, 1, 4, 4), dtype=np.float32))
+    with pytest.raises(ShapeError, match="integers"):
         reassemble(patches, grid)
 
 

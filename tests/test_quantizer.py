@@ -59,6 +59,20 @@ def test_bits_out_of_range_rejected():
         quant_params_from_stats(StatRange(-1.0, 1.0), bits=33)
 
 
+@pytest.mark.parametrize("bits", [8.5, "8", None, float("nan")])
+def test_non_integral_bits_rejected(bits):
+    with pytest.raises(ParameterError, match="integers"):
+        quant_params_from_stats(StatRange(-1.0, 1.0), bits=bits)
+    with pytest.raises(ParameterError, match="integers"):
+        QuantParams(scale=0.5, zero_point=0, bits=bits)
+
+
+def test_integral_float_bits_accepted():
+    p = quant_params_from_stats(StatRange(-1.0, 1.0), bits=8.0)
+    assert p == quant_params_from_stats(StatRange(-1.0, 1.0), bits=8)
+    assert type(p.bits) is int
+
+
 def test_nonzero_zero_point_rejected():
     with pytest.raises(ParameterError):
         QuantParams(scale=0.1, zero_point=3, bits=8)
@@ -155,6 +169,25 @@ def test_policy_resolution_order(rng):
     assert pol.resolve(2, model.layers[2]) == 8
     pinned = PrecisionPolicy(overrides={1: 8})
     assert pinned.resolve(1, model.layers[1]) == 8  # override beats gdn rule
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"overrides": {0: 8.5}},
+    {"overrides": {0: "a"}},
+    {"default_bits": 7.5},
+    {"gdn_bits": "16"},
+])
+def test_policy_rejects_non_integral_widths(kwargs):
+    with pytest.raises(ParameterError, match="integers"):
+        PrecisionPolicy(**kwargs)
+
+
+def test_policy_accepts_integral_float_widths(rng):
+    model = make_encoder(rng)
+    pol = PrecisionPolicy(default_bits=4.0, gdn_bits=16.0, overrides={2: 12.0})
+    got = [pol.resolve(i, layer) for i, layer in enumerate(model.layers)]
+    assert got == [4, 16, 12, 16, 4]
+    assert all(type(b) is int for b in got)
 
 
 def test_ptq_quantizes_every_tensor(rng):

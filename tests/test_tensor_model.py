@@ -297,10 +297,30 @@ def test_model_forward_runs_and_records(rng):
     x = rand_tensor(rng, (1, 3, 16, 16))
     y = model_forward(model, x)
     assert y.dims == (1, 4, 4, 4)
-    y2, acts = model_forward(model, x, record=True)
+    acts = []
+    y2 = model_forward(model, x,
+                       on_layer=lambda i, layer, out: acts.append(out))
     assert np.array_equal(y.data, y2.data)
     assert len(acts) == len(model.layers)
     assert np.array_equal(acts[-1].data, y.data)
+
+
+def test_model_forward_hook_output_replaces_layer_output(rng):
+    model = make_encoder(rng)
+    x = rand_tensor(rng, (1, 3, 16, 16))
+    seen = []
+
+    def zero_layer_one(i, layer, out):
+        seen.append((i, layer is model.layers[i]))
+        if i == 1:
+            return Tensor(np.zeros(out.dims, dtype=np.float32))
+        return None
+
+    y = model_forward(model, x, on_layer=zero_layer_one)
+    assert seen == [(i, True) for i in range(len(model.layers))]
+    tail = ModelSpec(name="tail", role="main_encoder", layers=model.layers[2:])
+    want = model_forward(tail, Tensor(np.zeros((1, 6, 8, 8), dtype=np.float32)))
+    assert np.array_equal(y.data, want.data)
 
 
 def test_model_forward_names_failing_layer(rng):
