@@ -204,6 +204,10 @@ class PrecisionPolicy:
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.overrides, dict):
+            raise ParameterError(
+                f"overrides must map layer index to bits; got {self.overrides!r}"
+            )
         object.__setattr__(self, "default_bits", integral_bits(self.default_bits))
         object.__setattr__(self, "gdn_bits", integral_bits(self.gdn_bits))
         object.__setattr__(self, "overrides", {

@@ -182,6 +182,12 @@ def test_policy_rejects_non_integral_widths(kwargs):
         PrecisionPolicy(**kwargs)
 
 
+@pytest.mark.parametrize("overrides", [None, [8]])
+def test_policy_rejects_overrides_that_are_not_a_mapping(overrides):
+    with pytest.raises(ParameterError, match="overrides"):
+        PrecisionPolicy(overrides=overrides)
+
+
 def test_policy_accepts_integral_float_widths(rng):
     model = make_encoder(rng)
     pol = PrecisionPolicy(default_bits=4.0, gdn_bits=16.0, overrides={2: 12.0})
