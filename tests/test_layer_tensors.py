@@ -328,7 +328,7 @@ def test_apply_keeps_matches_oracle(which, keep_out):
                        oracle_apply_keeps(model, keep_out))
 
 
-def test_tensor_table_lists_every_parameter(rng):
+def test_tensor_table_lists_every_parameter():
     model, _ = _case("encoder", 1)
     conv, gdn, relu = model.layers[0], model.layers[1], model.layers[2]
     assert list(conv.tensors()) == ["weights", "bias"]
