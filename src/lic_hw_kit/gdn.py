@@ -24,6 +24,7 @@ from .errors import DomainError, ParameterError, ShapeError
 from .fixed_point import (
     FixedPointFormat,
     SqrtLut,
+    _reciprocal_q,
     build_sqrt_lut,
     from_fixed,
     round_half_away,
@@ -84,13 +85,25 @@ class GdnParams:
         return self.beta.shape[0]
 
 
+def _channel_mix(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_j gamma[i, j] * v[n, j, h, w] for float64 operands, as one
+    (C, C) @ (C, H*W) BLAS GEMM per image: a 1x1 GDN pool is a matrix
+    product over channels."""
+    n, c, h, w = v.shape
+    return (gamma @ v.reshape(n, c, h * w)).reshape(n, c, h, w)
+
+
 def _pool(x: Tensor, params: GdnParams) -> np.ndarray:
+    """beta_i + sum_j gamma_ij * x_j**2 in float64, checked strictly
+    positive. The channel sum runs through _channel_mix, so BLAS may add
+    in any order; in float64 the effect of that order stays far below the
+    float32 rounding of the outputs."""
     if x.c != params.channels:
         raise ShapeError(
             f"input has {x.c} channels but gdn params expect {params.channels}"
         )
     sq = x.data.astype(np.float64) ** 2
-    acc = np.einsum("ij,njhw->nihw", params.gamma, sq)
+    acc = _channel_mix(params.gamma, sq)
     base = acc + params.beta[None, :, None, None]
     if base.size and base.min() <= 0:
         raise ParameterError("normalization pool is not strictly positive")
@@ -207,23 +220,23 @@ def _gamma_mac(gamma_q, sq):
     of every limb's GEMM is an integer below 2**53 and float64 holds it
     exactly whatever order BLAS adds in. Each limb's product is shifted
     back into an int64 accumulator; _mac_headroom_ok bounds the total.
-    numpy has no integer BLAS, so this beats an int64 matmul or einsum.
+    A limb product is the float pool's contraction, so it shares the
+    _channel_mix GEMM. numpy has no integer BLAS, so this beats an int64
+    matmul or einsum.
     """
-    n, c, h, w = sq.shape
+    c = sq.shape[1]
     bound = int(gamma_q.max()) * c if gamma_q.size else 0
     b = 53 - bound.bit_length()
     top = int(sq.max()).bit_length() if sq.size else 0
     g = gamma_q.astype(np.float64)
-    sq = sq.reshape(n, c, h * w)
     if top <= b:
-        acc = (g @ sq.astype(np.float64)).astype(np.int64)
-    else:
-        acc = np.zeros((n, c, h * w), dtype=np.int64)
-        mask = (np.int64(1) << b) - 1
-        for lo in range(0, top, b):
-            limb = ((sq >> lo) & mask).astype(np.float64)
-            acc += (g @ limb).astype(np.int64) << lo
-    return acc.reshape(n, c, h, w)
+        return _channel_mix(g, sq.astype(np.float64)).astype(np.int64)
+    acc = np.zeros(sq.shape, dtype=np.int64)
+    mask = (np.int64(1) << b) - 1
+    for lo in range(0, top, b):
+        limb = ((sq >> lo) & mask).astype(np.float64)
+        acc += _channel_mix(g, limb).astype(np.int64) << lo
+    return acc
 
 
 def _sqrt_range_reduced(acc_q, acc_fmt, lut: SqrtLut, out_fmt):
@@ -246,8 +259,6 @@ def _sqrt_range_reduced(acc_q, acc_fmt, lut: SqrtLut, out_fmt):
 
 
 def _recip_stage(root_q, root_fmt, recip_fmt):
-    from .fixed_point import _reciprocal_q
-
     d, sat_in = saturate_q(
         rshift_round(root_q, root_fmt.frac_bits - recip_fmt.frac_bits), recip_fmt
     )
@@ -358,6 +369,7 @@ def _hybrid_pipeline(x, params, formats, stage, inverse):
     Used to attribute error per stage; the isolated contributions are
     diagnostics and do not sum to the full-pipeline error.
     """
+    # einsum, not _channel_mix: a GEMM's sum order moves gdn-bench's digits
     xv = x.data.astype(np.float64)
     if stage == "input":
         xv = _snap(xv, formats.input)

@@ -3,12 +3,14 @@
 The forward passes are the golden output that other paths (quantized,
 pruned) are measured against, so their contract is precision:
 convolutions accumulate in float64 and round once to float32 at the end.
-Within that contract they are lowered to BLAS. conv and deconv loop over
-the K^2 kernel taps and compute each tap as one float64 matrix product
-(C_out, C_in) @ (C_in, N*H*W), accumulating the taps in a fixed order
-(Chellapilla et al. 2006). A product per tap needs one (C_in, N*H*W)
-column buffer, where a single product over all taps would need an
-im2col matrix K^2 times larger.
+Within that contract they are lowered to BLAS. deconv loops over the
+K^2 kernel taps and computes each tap as one float64 matrix product
+(C_out, C_in) @ (C_in, N*H*W), accumulating the taps in a fixed order.
+conv stacks small groups of taps into one im2col column buffer
+(Chellapilla et al. 2006) and runs one product per group: enough taps
+that a thin input still gives BLAS a deep inner dimension, few enough
+that the buffer stays near the size of one wide tap's window. A single
+product over all taps would need an im2col matrix K^2 times larger.
 """
 
 from __future__ import annotations
@@ -260,13 +262,23 @@ def _tap_weights(layer: LayerSpec) -> np.ndarray:
     )
 
 
+# inner dimension a conv tap group aims for (see conv2d_forward)
+_GROUP_ROWS = 128
+
+
 def conv2d_forward(x: Tensor, layer: LayerSpec) -> Tensor:
     """Strided 2-D cross-correlation with zero padding.
 
-    For each of the K^2 taps, the strided input window is gathered into a
-    (C_in, N*H_out*W_out) float64 buffer and multiplied by that tap's
-    (C_out, C_in) weights; the products are summed in float64 in tap
-    order, the bias is added, and the sum is rounded once to float32.
+    The K^2 taps, in row-major order, are taken in groups of
+    g = min(K^2, max(1, 128 // C_in)). The strided input windows of a
+    group's taps are gathered into one (g*C_in, N*H_out*W_out) float64
+    column buffer and multiplied by the group's (C_out, g*C_in) weights;
+    the group products are summed in float64 in tap order, the bias is
+    added, and the sum is rounded once to float32. A 3-channel first
+    layer with a 5x5 kernel is thus one GEMM with an inner dimension of
+    75, not 25 GEMMs with an inner dimension of 3. From C_in = 128 up,
+    g = 1: wide layers run one GEMM per tap and sum the taps exactly as
+    a per-tap loop does, and their buffer holds one tap's window.
     """
     if layer.kind != "conv":
         raise ParameterError(f"conv2d_forward got a {layer.kind} layer")
@@ -279,15 +291,19 @@ def conv2d_forward(x: Tensor, layer: LayerSpec) -> Tensor:
     n, cin, cout = x.n, layer.in_channels, layer.out_channels
     padded = np.zeros((cin, n, x.h + 2 * p, x.w + 2 * p), dtype=np.float64)
     padded[:, :, p:p + x.h, p:p + x.w] = x.data.transpose(1, 0, 2, 3)
-    taps = _tap_weights(layer)
-    cols = np.empty((cin, n, oh, ow), dtype=np.float64)
+    taps = _tap_weights(layer).reshape(k * k, cout, cin)
+    g = min(k * k, max(1, _GROUP_ROWS // cin))
+    cols = np.empty((g, cin, n, oh, ow), dtype=np.float64)
     prod = np.empty((cout, n * oh * ow), dtype=np.float64)
     acc = np.zeros((cout, n * oh * ow), dtype=np.float64)
-    for ky in range(k):
-        for kx in range(k):
-            cols[...] = padded[:, :, ky:ky + s * oh:s, kx:kx + s * ow:s]
-            np.matmul(taps[ky, kx], cols.reshape(cin, -1), out=prod)
-            acc += prod
+    for t0 in range(0, k * k, g):
+        size = min(g, k * k - t0)
+        for j in range(size):
+            ky, kx = divmod(t0 + j, k)
+            cols[j] = padded[:, :, ky:ky + s * oh:s, kx:kx + s * ow:s]
+        w = taps[t0:t0 + size].transpose(1, 0, 2).reshape(cout, size * cin)
+        np.matmul(w, cols[:size].reshape(size * cin, -1), out=prod)
+        acc += prod
     acc += layer.bias.astype(np.float64)[:, None]
     return Tensor(acc.reshape(cout, n, oh, ow).transpose(1, 0, 2, 3))
 

@@ -54,10 +54,6 @@ class StatRange:
             self.min_val = min(self.min_val, float(arr.min()))
             self.max_val = max(self.max_val, float(arr.max()))
 
-    def merged(self, other: "StatRange") -> "StatRange":
-        return StatRange(min(self.min_val, other.min_val),
-                         max(self.max_val, other.max_val))
-
 
 @dataclass
 class CalibrationStats:
@@ -82,15 +78,6 @@ class CalibrationStats:
             raise CalibrationError(
                 f"no calibration range for layer {layer} role {role!r}"
             ) from None
-
-    def merge(self, other: "CalibrationStats") -> "CalibrationStats":
-        """Elementwise min/max union; associative and commutative."""
-        out = CalibrationStats({k: StatRange(v.min_val, v.max_val)
-                                for k, v in self.entries.items()})
-        for k, v in other.entries.items():
-            out.entries[k] = out.entries[k].merged(v) if k in out.entries else \
-                StatRange(v.min_val, v.max_val)
-        return out
 
 
 def calibrate(model: ModelSpec, calibration_set) -> CalibrationStats:

@@ -48,6 +48,19 @@ def rand_tensor(rng, dims, lo=-1.0, hi=1.0):
     return Tensor(rng.uniform(lo, hi, dims).astype(np.float32))
 
 
+def within_float64_accumulation(got, want):
+    """One float32 spacing of each reference element plus 1e-9 of the
+    largest reference magnitude: what a different float64 summation
+    order can move a once-rounded float32 result by."""
+    got = np.asarray(got, dtype=np.float64)
+    want = np.asarray(want, dtype=np.float64)
+    if got.shape != want.shape:
+        return False
+    tol = np.spacing(np.abs(want).astype(np.float32)).astype(np.float64)
+    tol += 1e-9 * float(np.max(np.abs(want), initial=0.0))
+    return bool(np.all(np.abs(got - want) <= tol))
+
+
 # ---------------------------------------------------------------------------
 # Acceptance summary: one PASS/FAIL line per criterion after the run
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ inside a tap differs, so results must agree to within one float32
 spacing of each element plus 1e-9 of the largest magnitude.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from lic_hw_kit import Tensor, conv2d_forward, deconv2d_forward
-from conftest import make_conv
+from conftest import make_conv, within_float64_accumulation
 
 
 def einsum_conv(x, weights, bias, stride, padding):
@@ -69,19 +71,6 @@ def float32_gemm_conv(x, weights, bias, stride, padding):
     return acc.reshape(cout, n, oh, ow).transpose(1, 0, 2, 3)
 
 
-def within_float64_accumulation(got, want):
-    """One float32 spacing of each reference element plus 1e-9 of the
-    largest reference magnitude: what a different float64 summation
-    order can move a once-rounded float32 result by."""
-    got = np.asarray(got, dtype=np.float64)
-    want = np.asarray(want, dtype=np.float64)
-    if got.shape != want.shape:
-        return False
-    tol = np.spacing(np.abs(want).astype(np.float32)).astype(np.float64)
-    tol += 1e-9 * float(np.max(np.abs(want), initial=0.0))
-    return bool(np.all(np.abs(got - want) <= tol))
-
-
 def conv_extent(k, s, p, base):
     """The first extent >= base whose conv span (h + 2p - k) is not a
     multiple of the stride, when the stride is above 1."""
@@ -123,6 +112,31 @@ def test_deconv_matches_einsum_oracle(k, s, p, n):
     layer = make_conv(3, 4, k=k, s=s, p=p, rng=rng, kind="deconv")
     x = rng.normal(0.0, 1.0, (n, 3, h, w)).astype(np.float32)
     check_kernel(deconv2d_forward, einsum_deconv, x, layer)
+
+
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("cin,gemms", [(1, 1), (3, 1), (48, 13), (128, 25)])
+def test_conv_tap_groups_match_einsum_oracle(cin, gemms, s):
+    """5x5 taps in groups of min(25, 128 // C_in): one GEMM for thin
+    inputs, 12 pairs plus a ragged single tap at 48 channels, and one
+    GEMM per tap from 128 channels up."""
+    rng = np.random.default_rng([cin, s])
+    h = conv_extent(5, s, 2, 7)
+    w = conv_extent(5, s, 2, h + 2)
+    layer = make_conv(cin, 6, k=5, s=s, p=2, rng=rng)
+    x = rng.normal(0.0, 1.0, (2, cin, h, w)).astype(np.float32)
+    check_kernel(conv2d_forward, einsum_conv, x, layer)
+    with mock.patch.object(np, "matmul", wraps=np.matmul) as spy:
+        conv2d_forward(Tensor(x), layer)
+    assert spy.call_count == gemms
+
+
+def test_codec_first_layer_matches_einsum_oracle():
+    """3 -> 128, 5x5, stride 2, padding 2 on an odd-sized input."""
+    rng = np.random.default_rng(3)
+    layer = make_conv(3, 128, k=5, s=2, p=2, rng=rng)
+    x = rng.normal(0.0, 1.0, (1, 3, 33, 29)).astype(np.float32)
+    check_kernel(conv2d_forward, einsum_conv, x, layer)
 
 
 def paper_layer(kind, rng):
