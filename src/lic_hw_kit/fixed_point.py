@@ -47,8 +47,6 @@ class FixedPointFormat:
 
     total_bits: int
     frac_bits: int
-    signed: bool = True
-    saturate: bool = True
 
     def __post_init__(self):
         if self.total_bits not in _ALLOWED_TOTALS:
@@ -64,13 +62,11 @@ class FixedPointFormat:
 
     @property
     def qmin(self) -> int:
-        return -(1 << (self.total_bits - 1)) if self.signed else 0
+        return -(1 << (self.total_bits - 1))
 
     @property
     def qmax(self) -> int:
-        if self.signed:
-            return (1 << (self.total_bits - 1)) - 1
-        return (1 << self.total_bits) - 1
+        return (1 << (self.total_bits - 1)) - 1
 
     @property
     def min_value(self) -> float:
@@ -87,16 +83,32 @@ def round_half_away(x):
     return (np.sign(x) * np.floor(np.abs(x) + 0.5)).astype(np.int64)
 
 
+def _round_saturate(v, qmin: int, qmax: int):
+    """Round v half away from zero and clamp it to [qmin, qmax], in
+    place and in float64, so a value beyond the limits saturates before
+    any integer cast can overflow. v must be a float64 array the caller
+    owns. Returns (v, count of elements outside the limits after rounding).
+    """
+    v = np.asarray(v)
+    sign = np.sign(v)
+    np.abs(v, out=v)
+    v += 0.5
+    np.floor(v, out=v)
+    v *= sign
+    n_sat = v.size - int(np.count_nonzero((v >= qmin) & (v <= qmax)))
+    np.clip(v, qmin, qmax, out=v)
+    return v, n_sat
+
+
 def to_fixed(x, fmt: FixedPointFormat):
     """Quantize real values onto the format grid.
 
     Returns (q, n_saturated) where q is the int64 representation and
     n_saturated counts elements clipped to the format limits.
     """
-    q = round_half_away(np.asarray(x, dtype=np.float64) * (1 << fmt.frac_bits))
-    clipped = np.clip(q, fmt.qmin, fmt.qmax)
-    n_sat = int(np.count_nonzero(clipped != q))
-    return clipped, n_sat
+    v, n_sat = _round_saturate(np.asarray(x, dtype=np.float64)
+                               * (1 << fmt.frac_bits), fmt.qmin, fmt.qmax)
+    return v.astype(np.int64), n_sat
 
 
 def from_fixed(q, fmt: FixedPointFormat):

@@ -359,8 +359,7 @@ def igdn_fixed_with_stats(y, params, formats=GdnStageFormats.default(32)):
 
 
 def _snap(v, fmt: FixedPointFormat):
-    q = np.clip(round_half_away(v * (1 << fmt.frac_bits)), fmt.qmin, fmt.qmax)
-    return from_fixed(q, fmt)
+    return from_fixed(to_fixed(v, fmt)[0], fmt)
 
 
 def _hybrid_pipeline(x, params, formats, stage, inverse):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CalibrationError, ParameterError, ShapeError
+from .fixed_point import _round_saturate
 from .model import LayerSpec, ModelSpec, integral_bits, model_forward
 from .tensor import Tensor
 
@@ -159,12 +160,9 @@ def int_dtype(bits: int) -> str:
 
 def quantize_with_stats(x, p: QuantParams):
     """Quantize to integers; returns (q, n_saturated)."""
-    arr = np.asarray(x, dtype=np.float64)
-    scaled = arr / p.scale
-    q = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
-    clipped = np.clip(q, p.qmin, p.qmax)
-    n_sat = int(np.count_nonzero(clipped != q))
-    return clipped.astype(int_dtype(p.bits)), n_sat
+    scaled = np.divide(x, p.scale, dtype=np.float64)
+    q, n_sat = _round_saturate(scaled, p.qmin, p.qmax)
+    return q.astype(int_dtype(p.bits)), n_sat
 
 
 def quantize(x, p: QuantParams):

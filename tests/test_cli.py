@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -234,6 +235,22 @@ def test_gdn_bench_defaults_and_determinism(tmp_path):
     assert by_bits[32]["max_abs_error"] <= by_bits[16]["max_abs_error"] \
         <= by_bits[8]["max_abs_error"]
     assert by_bits[32]["max_abs_error"] < 1e-3
+
+
+def test_gdn_bench_huge_inputs_report_no_nan(tmp_path):
+    cfg = write_json(tmp_path / "bench.json", {"samples": 200, "channels": 4,
+                                               "low": -1e12, "high": 1e12})
+    out = tmp_path / "o"
+    # the float-pipeline root and recip stages of the per-stage error
+    # attribution still scale by 2**frac with no clamp, so their cast
+    # overflows at this range
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in cast"):
+        assert main(["gdn-bench", "--config", cfg, "--out", str(out)]) == 0
+    text = (out / "gdn_bench.json").read_text()
+    assert "NaN" not in text
+    report = json.loads(text)
+    assert all(math.isfinite(v) for detail in report["stages"].values()
+               for v in detail["stage_contribution"].values())
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,16 @@ def test_to_fixed_counts_saturation():
     assert from_fixed(q[2], fmt) == 1.0
 
 
+def test_to_fixed_saturates_values_beyond_int64():
+    # clamped in float64 before the integer cast, so 1e20 * 2**24 cannot
+    # wrap to the wrong limit
+    fmt = FixedPointFormat(32, 24)
+    q, sat = to_fixed(np.array([1e20, -1e20]), fmt)
+    assert q.dtype == np.int64
+    assert q.tolist() == [fmt.qmax, fmt.qmin]
+    assert sat == 2
+
+
 @given(st.floats(min_value=-100.0, max_value=100.0,
                  allow_nan=False, allow_infinity=False))
 @settings(max_examples=200)

@@ -14,6 +14,7 @@ from lic_hw_kit import (
     gdn_fixed_with_stats,
     gdn_float,
     igdn_fixed,
+    igdn_fixed_with_stats,
     igdn_float,
 )
 from conftest import rand_tensor
@@ -156,6 +157,21 @@ def test_fixed_saturation_counted_not_raised():
     y, stats = gdn_fixed_with_stats(x, p, fmts)
     assert stats.total_saturated > 0
     assert np.isfinite(y.data).all()
+
+
+@pytest.mark.parametrize("bits,magnitude", [(32, 1e12), (16, 1e17)])
+def test_fixed_saturates_huge_inputs_with_the_right_sign(bits, magnitude):
+    # x * 2**frac is past int64 at 16 bits and past the format everywhere:
+    # the input clamps to its limits, so each output keeps its input's sign
+    fmts = GdnStageFormats.default(bits)
+    p = GdnParams(beta=np.ones(2), gamma=np.full((2, 2), 0.05))
+    x = chan([magnitude, -magnitude])
+    for fn, with_stats in ((gdn_fixed, gdn_fixed_with_stats),
+                           (igdn_fixed, igdn_fixed_with_stats)):
+        y = fn(x, p, fmts)
+        assert np.array_equal(np.sign(y.data), np.sign(x.data))
+        _, stats = with_stats(x, p, fmts)
+        assert stats.saturation["input"] == 2
 
 
 def test_fixed_deterministic(rng):

@@ -122,6 +122,19 @@ def test_payload_dtype_matches_width(bits, dtype):
     assert q.dtype == dtype
 
 
+
+@pytest.mark.parametrize("bits,values", [
+    (8, [200.0, -200.0]),
+    (8, [1e30, -1e30]),
+    (16, [1e30, -1e30]),
+    (32, [1e30, -1e30]),
+])
+def test_quantize_saturates_to_the_limits(bits, values):
+    p = quant_params_from_stats(StatRange(-1.0, 1.0), bits=bits)
+    q, sat = quantize_with_stats(np.array(values + [0.5]), p)
+    assert q.tolist() == [p.qmax, p.qmin, round(0.5 / p.scale)]
+    assert sat == 2
+
 # ---------------------------------------------------------------------------
 # Calibration
 # ---------------------------------------------------------------------------
