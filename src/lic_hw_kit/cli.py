@@ -3,9 +3,12 @@
     lic-hw-kit <subcommand> --config <file.json> [--out <dir>]
 
 Every config is validated against a schema (unknown keys are rejected)
-before any computation starts. Reports are written as CSV and JSON side
-by side; CSV floats use fixed 6-decimal formatting and JSON keeps full
-precision, so reruns on identical inputs are byte-identical.
+before any computation starts. A key the config leaves out takes the
+default of the library call it feeds; only gdn-bench, which has no
+library counterpart, keeps defaults of its own. Reports are written by
+one writer as CSV and JSON side by side; CSV floats use fixed 6-decimal
+formatting and JSON keeps full precision, so reruns on identical inputs
+are byte-identical.
 
 Exit codes: 0 success, 2 config/schema error, 3 missing input file,
 4 numeric or format failure during computation.
@@ -265,6 +268,12 @@ def _read_bytes(path: str) -> bytes:
     return p.read_bytes()
 
 
+def _given(cfg: dict, *keys) -> dict:
+    """The keys the config sets, so a library call keeps its own defaults
+    for the rest."""
+    return {k: cfg[k] for k in keys if k in cfg}
+
+
 def _dpu_from(cfg: dict) -> DpuConfig:
     return DpuConfig(**cfg.get("dpu", {}))
 
@@ -303,6 +312,19 @@ def _jsonable(obj):
 
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n")
+
+
+def _out_dir(args) -> Path:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _write_report(out: Path, stem: str, fieldnames, rows, doc) -> None:
+    """<stem>.csv with one line per row (the header even when there are
+    no rows) and <stem>.json holding doc."""
+    _write_csv(out / f"{stem}.csv", fieldnames, rows)
+    _write_json(out / f"{stem}.json", doc)
 
 
 # ---------------------------------------------------------------------------
@@ -375,22 +397,18 @@ def cmd_quantize(args) -> int:
     cfg = _load_config(args.config, "quantize")
     model = load_model(_read_bytes(cfg["model"]))
     calib = [load_tensor(_read_bytes(p)) for p in cfg["calibration"]]
-    pol = cfg.get("policy", {})
-    policy = PrecisionPolicy(
-        default_bits=pol.get("default_bits", 8),
-        gdn_bits=pol.get("gdn_bits", 32),
-        overrides={int(k): v for k, v in pol.get("overrides", {}).items()},
-    )
-    stats = calibrate(model, calib)
-    qm = ptq(model, stats, policy)
+    pol = dict(cfg.get("policy", {}))
+    if "overrides" in pol:
+        pol["overrides"] = {int(k): v for k, v in pol["overrides"].items()}
+    policy = PrecisionPolicy(**pol)
+    qm = ptq(model, calibrate(model, calib), policy)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     (out / "quantized_model.bin").write_bytes(save_quantized_model(qm))
     rows = qm.scale_report()
-    _write_csv(out / "quantize_report.csv",
-               ["layer", "role", "bits", "scale", "saturation_count"], rows)
-    _write_json(out / "quantize_report.json", {"tensors": rows})
+    _write_report(out, "quantize_report",
+                  ["layer", "role", "bits", "scale", "saturation_count"], rows,
+                  {"tensors": rows})
     print(f"quantized {len(model.layers)} layers -> {out / 'quantized_model.bin'}")
     return 0
 
@@ -398,16 +416,12 @@ def cmd_quantize(args) -> int:
 def cmd_prune(args) -> int:
     cfg = _load_config(args.config, "prune")
     model = load_model(_read_bytes(cfg["model"]))
-    schedule = PruneSchedule(
-        fraction_per_iteration=cfg.get("fraction_per_iteration", 0.10),
-        iterations=cfg.get("iterations", 3),
-        prune_hyperprior=cfg.get("prune_hyperprior", False),
-    )
+    schedule = PruneSchedule(**_given(cfg, "fraction_per_iteration",
+                                      "iterations", "prune_hyperprior"))
     input_hw = tuple(cfg["input_hw"]) if "input_hw" in cfg else None
     pruned, report = iterative_prune(model, schedule, input_hw=input_hw)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     (out / "pruned_model.bin").write_bytes(save_model(pruned))
     rows = [
         {
@@ -418,9 +432,9 @@ def cmd_prune(args) -> int:
         }
         for r in report.removals
     ]
-    _write_csv(out / "prune_report.csv",
-               ["iteration", "layer", "removed_count", "removed_indices"], rows)
-    _write_json(out / "prune_report.json", report.to_json_dict())
+    _write_report(out, "prune_report",
+                  ["iteration", "layer", "removed_count", "removed_indices"],
+                  rows, report.to_json_dict())
     print(f"pruned to {report.params_after} params "
           f"(ratio {report.cumulative_ratio:.6f})")
     return 0
@@ -444,15 +458,14 @@ def cmd_estimate(args) -> int:
             "fps": est.fps,
         })
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "estimate_report.csv",
-               ["name", "workload_gop", "t_compute_s", "t_frame_s", "fps"], rows)
-    _write_json(out / "estimate_report.json", {
+    doc = {
         "peak_ops_per_cycle": {"per_core": per_core, "total": total},
         "workload_scale": dpu.workload_scale,
         "estimates": rows,
-    })
+    }
+    _write_report(_out_dir(args), "estimate_report",
+                  ["name", "workload_gop", "t_compute_s", "t_frame_s", "fps"],
+                  rows, doc)
     for r in rows:
         print(f"{r['name']}: {r['fps']:.6f} fps")
     return 0
@@ -469,30 +482,21 @@ def cmd_simulate(args) -> int:
     else:
         if "stages" not in cfg or "patch_count" not in cfg:
             raise ConfigError("explicit runs need both stages and patch_count")
-        stages = [
-            StageSpec(
-                name=s["name"],
-                compute_ops=s["compute_ops"],
-                intermediate_bytes=s.get("intermediate_bytes", 0.0),
-            )
-            for s in cfg["stages"]
-        ]
+        stages = [StageSpec(**s) for s in cfg["stages"]]
         patch_count = cfg["patch_count"]
         dpu = _dpu_from(cfg)
 
     mode = cfg.get("mode", "both")
     modes = ["sequential", "pipelined"] if mode == "both" else [mode]
-    launch = cfg.get("launch_overhead_s", 5e-4)
-    ppf = cfg.get("patches_per_frame")
+    timing = _given(cfg, "launch_overhead_s", "patches_per_frame")
     want_trace = cfg.get("trace", False)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     results = {}
     rows = []
     for m in modes:
-        res = simulate(stages, patch_count, dpu, m, launch_overhead_s=launch,
-                       patches_per_frame=ppf, collect_trace=want_trace)
+        res = simulate(stages, patch_count, dpu, m, collect_trace=want_trace,
+                       **timing)
         if want_trace:
             res, trace = res
             _write_csv(out / f"sim_trace_{m}.csv",
@@ -511,10 +515,9 @@ def cmd_simulate(args) -> int:
     if len(modes) == 2:
         report["pipelined_over_sequential_fps"] = \
             results["pipelined"]["fps"] / results["sequential"]["fps"]
-    _write_csv(out / "sim_report.csv",
-               ["mode", "fps", "makespan_s", "busy_fraction",
-                "avg_bandwidth_bytes_per_s"], rows)
-    _write_json(out / "sim_report.json", report)
+    _write_report(out, "sim_report",
+                  ["mode", "fps", "makespan_s", "busy_fraction",
+                   "avg_bandwidth_bytes_per_s"], rows, report)
     for r in rows:
         print(f"{r['mode']}: {r['fps']:.6f} fps, "
               f"busy {r['busy_fraction']:.6f}")
@@ -525,8 +528,6 @@ def cmd_bd_metrics(args) -> int:
     curve_a = read_rd_csv(_read_bytes(args.curve_a).decode("utf-8"))
     curve_b = read_rd_csv(_read_bytes(args.curve_b).decode("utf-8"))
     res = compute_bd_metrics(curve_a, curve_b)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     row = {
         "bd_rate_percent": res.bd_rate_percent,
         "bd_psnr_db": res.bd_psnr_db,
@@ -535,8 +536,7 @@ def cmd_bd_metrics(args) -> int:
         "psnr_overlap_lo": res.psnr_overlap[0],
         "psnr_overlap_hi": res.psnr_overlap[1],
     }
-    _write_csv(out / "bd_report.csv", list(row.keys()), [row])
-    _write_json(out / "bd_report.json", row)
+    _write_report(_out_dir(args), "bd_report", list(row), [row], row)
     print(f"bd-rate {res.bd_rate_percent:.6f} % | bd-psnr {res.bd_psnr_db:.6f} dB")
     return 0
 
@@ -576,14 +576,10 @@ def cmd_gdn_bench(args) -> int:
             "stage_contribution": rep.stage_contribution,
         }
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "gdn_bench.csv",
-               ["total_bits", "max_abs_error", "mean_abs_error", "saturated"],
-               rows)
-    _write_json(out / "gdn_bench.json",
-                {"rows": rows, "stages": stage_detail,
-                 "elements": int(corpus.size)})
+    _write_report(_out_dir(args), "gdn_bench",
+                  ["total_bits", "max_abs_error", "mean_abs_error", "saturated"],
+                  rows, {"rows": rows, "stages": stage_detail,
+                         "elements": int(corpus.size)})
     for r in rows:
         print(f"{r['total_bits']}-bit: max err {r['max_abs_error']:.6f}")
     return 0
@@ -592,10 +588,8 @@ def cmd_gdn_bench(args) -> int:
 def cmd_tile(args) -> int:
     cfg = _load_config(args.config, "tile")
     image, kind = _read_image(cfg["image"])
-    tiled = tile_to_resolution(image, cfg.get("target_h", 720),
-                               cfg.get("target_w", 1280))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    tiled = tile_to_resolution(image, **_given(cfg, "target_h", "target_w"))
+    out = _out_dir(args)
     if kind == "ppm":
         path = out / "tiled.ppm"
         path.write_bytes(write_ppm(tiled))
@@ -608,15 +602,10 @@ def cmd_tile(args) -> int:
 
 def cmd_kd_loss(args) -> int:
     cfg = _load_config(args.config, "kd-loss")
-    we = cfg.get("weights_early", {"alpha": 1.0, "beta": 0.1, "gamma": 0.5})
-    wl = cfg.get("weights_late", {"alpha": 0.1, "beta": 1.0, "gamma": 0.5})
-    schedule = PhaseSchedule(
-        early=KdWeights(**we),
-        late=KdWeights(**wl),
-        plateau_window=cfg.get("plateau_window", 1000),
-        plateau_threshold=cfg.get("plateau_threshold", 1e-3),
-        max_phase_steps=cfg.get("max_phase_steps", 250_000),
-    )
+    phase_weights = {p: KdWeights(**cfg[f"weights_{p}"])
+                     for p in ("early", "late") if f"weights_{p}" in cfg}
+    schedule = PhaseSchedule(**phase_weights, **_given(
+        cfg, "plateau_window", "plateau_threshold", "max_phase_steps"))
     lam = cfg["lambda"]
 
     rows = []
@@ -639,12 +628,10 @@ def cmd_kd_loss(args) -> int:
         })
         history.append(step["l_latent"])
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "kd_report.csv",
-               ["step", "phase", "alpha", "beta", "gamma",
-                "l_latent", "l_perceptual", "rd", "total"], rows)
-    _write_json(out / "kd_report.json", {"lambda": lam, "rows": rows})
+    _write_report(_out_dir(args), "kd_report",
+                  ["step", "phase", "alpha", "beta", "gamma",
+                   "l_latent", "l_perceptual", "rd", "total"],
+                  rows, {"lambda": lam, "rows": rows})
     print(f"{len(rows)} steps, final phase {phase}")
     return 0
 
