@@ -109,14 +109,28 @@ def _read_sections(buf: bytes, off: int, shapes_dtypes):
     return out
 
 
-def save_model(model: ModelSpec) -> bytes:
-    header = {
-        "format": "lic-model",
+def _model_header(fmt: str, model: ModelSpec) -> dict:
+    return {
+        "format": fmt,
         "name": model.name,
         "role": model.role,
         "bit_widths": model.bit_widths,
         "layers": [layer.scalars() for layer in model.layers],
     }
+
+
+def _model_from(header: dict, layers) -> ModelSpec:
+    return ModelSpec(name=header["name"], layers=layers, role=header["role"],
+                     bit_widths=header.get("bit_widths"))
+
+
+def _quant_params(entry: dict) -> QuantParams:
+    return QuantParams(scale=entry["scale"], zero_point=entry["zero_point"],
+                       bits=entry["bits"])
+
+
+def save_model(model: ModelSpec) -> bytes:
+    header = _model_header("lic-model", model)
     payloads = [np.asarray(arr, dtype=_ROLE_DTYPE[role])
                 for layer in model.layers
                 for role, arr in layer.tensors().items()]
@@ -143,12 +157,7 @@ def load_model(buf: bytes) -> ModelSpec:
                        for table in shapes for role, shape in table.items()]))
         layers = [_build_layer(entry, {role: next(sections) for role in table})
                   for entry, table in zip(entries, shapes)]
-        return ModelSpec(
-            name=header["name"],
-            layers=layers,
-            role=header["role"],
-            bit_widths=header.get("bit_widths"),
-        )
+        return _model_from(header, layers)
     except (KeyError, TypeError) as e:
         raise MalformedHeaderError(f"model header missing field: {e}") from e
 
@@ -174,14 +183,8 @@ def save_quantized_model(qm) -> bytes:
         {"layer": li, "bits": p.bits, "scale": p.scale, "zero_point": p.zero_point}
         for li, p in sorted(qm.activation_params.items())
     ]
-    header = {
-        "format": "lic-quant-model",
-        "name": qm.model.name,
-        "role": qm.model.role,
-        "bit_widths": qm.model.bit_widths,
-        "layers": [layer.scalars() for layer in qm.model.layers],
-        "quant": {"tensors": tensors, "activations": activations},
-    }
+    header = {**_model_header("lic-quant-model", qm.model),
+              "quant": {"tensors": tensors, "activations": activations}}
     return _pack(_QUANT_MAGIC, header, payloads)
 
 
@@ -202,23 +205,16 @@ def load_quantized_model(buf: bytes):
         tensor_params, payloads, saturation = {}, {}, {}
         for t, arr in zip(tensors, sections):
             key = (t["layer"], t["role"])
-            tensor_params[key] = QuantParams(scale=t["scale"],
-                                             zero_point=t["zero_point"],
-                                             bits=t["bits"])
+            tensor_params[key] = _quant_params(t)
             payloads[key] = arr
             saturation[key] = t.get("saturated", 0)
 
         layers = [_build_layer(entry, dequantize_tensors(li, table, tensor_params,
                                                          payloads))
                   for li, (entry, table) in enumerate(zip(entries, shapes))]
-        model = ModelSpec(name=header["name"], layers=layers, role=header["role"],
-                          bit_widths=header.get("bit_widths"))
-        activation_params = {
-            int(a["layer"]): QuantParams(scale=a["scale"],
-                                         zero_point=a["zero_point"],
-                                         bits=a["bits"])
-            for a in header["quant"]["activations"]
-        }
+        model = _model_from(header, layers)
+        activation_params = {int(a["layer"]): _quant_params(a)
+                             for a in header["quant"]["activations"]}
         return QuantizedModel(
             model=model,
             tensor_params=tensor_params,

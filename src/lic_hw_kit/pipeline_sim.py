@@ -96,31 +96,16 @@ class SimResult:
         }
 
 
-def partition_stages(stages, cores: int, group_sizes=None):
+def partition_stages(stages, cores: int):
     """Contiguous stage groups, one per used core.
 
-    With group_sizes=None, every contiguous split into at most `cores`
-    groups is scored and the one minimizing the largest summed
-    compute_ops wins (first such split on ties, so the choice is
-    deterministic). Explicit sizes are validated instead.
+    Every contiguous split into at most `cores` groups is scored and the
+    one minimizing the largest summed compute_ops wins (first such split
+    on ties, so the choice is deterministic).
     """
     n = len(stages)
     if n == 0:
         raise SimulationError("no stages to schedule")
-    if group_sizes is not None:
-        if len(group_sizes) > cores:
-            raise SimulationError(
-                f"{len(group_sizes)} partitions exceed {cores} cores"
-            )
-        if any(g < 1 for g in group_sizes) or sum(group_sizes) != n:
-            raise SimulationError(
-                f"group sizes {group_sizes} do not cover {n} stages"
-            )
-        bounds = [0]
-        for g in group_sizes:
-            bounds.append(bounds[-1] + g)
-        return [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
-
     k = min(cores, n)
     best = None
     best_load = None

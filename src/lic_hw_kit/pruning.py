@@ -173,22 +173,15 @@ def _finish_report(rep: PruneReport, model: ModelSpec, input_hw) -> None:
 
 
 def prune_step(model: ModelSpec, fraction_of_original: float, input_hw=None):
-    """One pruning pass at the given fraction of the current counts.
+    """One pruning pass at the given fraction of the current counts: a
+    one-iteration iterative_prune that also prunes hyperprior stacks.
 
     Returns (pruned model, PruneReport). Deterministic.
     """
     if not 0.0 <= fraction_of_original < 1.0:
         raise ParameterError("fraction must lie in [0, 1)")
-    rep = _base_report(model, input_hw)
-    counts = {li: floor(fraction_of_original * model.layers[li].out_channels)
-              for li in prunable_layer_indices(model)}
-    pruned, removals = _prune_by_counts(model, counts)
-    for li in sorted(removals):
-        rep.removals.append(
-            {"iteration": 0, "layer": li, "removed": removals[li]}
-        )
-    _finish_report(rep, pruned, input_hw)
-    return pruned, rep
+    schedule = PruneSchedule(fraction_of_original, 1, prune_hyperprior=True)
+    return iterative_prune(model, schedule, input_hw=input_hw)
 
 
 def iterative_prune(model: ModelSpec, schedule: PruneSchedule,

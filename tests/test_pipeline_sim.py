@@ -58,22 +58,6 @@ def test_partition_single_core_takes_everything():
     assert groups == [[0, 1, 2]]
 
 
-def test_partition_explicit_sizes():
-    stages = three_stages()
-    groups = partition_stages(stages, cores=3, group_sizes=[2, 1])
-    assert groups == [[0, 1], [2]]
-
-
-def test_partition_explicit_sizes_validated():
-    stages = three_stages()
-    with pytest.raises(SimulationError):
-        partition_stages(stages, cores=1, group_sizes=[1, 1, 1])
-    with pytest.raises(SimulationError):
-        partition_stages(stages, cores=3, group_sizes=[2, 2])
-    with pytest.raises(SimulationError):
-        partition_stages(stages, cores=3, group_sizes=[3, 0])
-
-
 def test_empty_stage_list_rejected():
     with pytest.raises(SimulationError):
         partition_stages([], cores=3)
