@@ -458,14 +458,10 @@ def cmd_estimate(args) -> int:
             "fps": est.fps,
         })
 
-    doc = {
-        "peak_ops_per_cycle": {"per_core": per_core, "total": total},
-        "workload_scale": dpu.workload_scale,
-        "estimates": rows,
-    }
     _write_report(_out_dir(args), "estimate_report",
-                  ["name", "workload_gop", "t_compute_s", "t_frame_s", "fps"],
-                  rows, doc)
+                  ["name", "workload_gop", "t_compute_s", "t_frame_s", "fps"], rows,
+                  {"peak_ops_per_cycle": {"per_core": per_core, "total": total},
+                   "workload_scale": dpu.workload_scale, "estimates": rows})
     for r in rows:
         print(f"{r['name']}: {r['fps']:.6f} fps")
     return 0

@@ -218,10 +218,9 @@ class SqrtLut:
 
     def eval(self, x):
         """Convenience float-in/float-out evaluation (quantizes x to the grid)."""
-        x = np.asarray(x, dtype=np.float64)
-        q = round_half_away(x * (1 << self.fmt.frac_bits))
-        q = np.clip(q, self.knots[0], self.knots[-1] - 1)
-        return from_fixed(self.eval_int(q), self.fmt)
+        scaled = np.asarray(x, dtype=np.float64) * (1 << self.fmt.frac_bits)
+        q, _ = _round_saturate(scaled, self.knots[0], self.knots[-1] - 1)
+        return from_fixed(self.eval_int(q.astype(np.int64)), self.fmt)
 
     def to_json(self) -> str:
         return json.dumps(

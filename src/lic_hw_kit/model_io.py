@@ -110,13 +110,9 @@ def _read_sections(buf: bytes, off: int, shapes_dtypes):
 
 
 def _model_header(fmt: str, model: ModelSpec) -> dict:
-    return {
-        "format": fmt,
-        "name": model.name,
-        "role": model.role,
-        "bit_widths": model.bit_widths,
-        "layers": [layer.scalars() for layer in model.layers],
-    }
+    return {"format": fmt, "name": model.name, "role": model.role,
+            "bit_widths": model.bit_widths,
+            "layers": [layer.scalars() for layer in model.layers]}
 
 
 def _model_from(header: dict, layers) -> ModelSpec:

@@ -193,12 +193,11 @@ def iterative_prune(model: ModelSpec, schedule: PruneSchedule,
     may return a replacement model (same structure) or None. Removed
     indices in the report refer to the original filter numbering.
     """
+    rep = _base_report(model, input_hw)
     if model.role in HYPERPRIOR_ROLES and not schedule.prune_hyperprior:
-        rep = _base_report(model, input_hw)
         _finish_report(rep, model, input_hw)
         return model, rep
 
-    rep = _base_report(model, input_hw)
     prunable = prunable_layer_indices(model)
     per_iter = {li: floor(schedule.fraction_per_iteration
                           * model.layers[li].out_channels)

@@ -75,6 +75,12 @@ def test_to_fixed_counts_saturation():
     assert from_fixed(q[2], fmt) == 1.0
 
 
+def test_lut_eval_clamps_values_beyond_int64_to_the_domain():
+    lut = build_sqrt_lut(segments=16, fmt=FixedPointFormat(16, 8))
+    top = lut.eval(np.array([lut.hi - lut.fmt.ulp]))[0]
+    assert lut.eval(np.array([1e30, -1e30])).tolist() == [top, lut.eval(1.0)]
+
+
 def test_to_fixed_saturates_values_beyond_int64():
     # clamped in float64 before the integer cast, so 1e20 * 2**24 cannot
     # wrap to the wrong limit
