@@ -79,8 +79,17 @@ class FixedPointFormat:
 
 def round_half_away(x):
     """Round to nearest integer, ties away from zero. Returns int64."""
-    x = np.asarray(x, dtype=np.float64)
-    return (np.sign(x) * np.floor(np.abs(x) + 0.5)).astype(np.int64)
+    return _round_in_place(np.array(x, dtype=np.float64)).astype(np.int64)
+
+
+def _round_in_place(v):
+    """Round a float64 array the caller owns half away from zero, in place."""
+    sign = np.sign(v)
+    np.abs(v, out=v)
+    v += 0.5
+    np.floor(v, out=v)
+    v *= sign
+    return v
 
 
 def _round_saturate(v, qmin: int, qmax: int):
@@ -89,12 +98,7 @@ def _round_saturate(v, qmin: int, qmax: int):
     any integer cast can overflow. v must be a float64 array the caller
     owns. Returns (v, count of elements outside the limits after rounding).
     """
-    v = np.asarray(v)
-    sign = np.sign(v)
-    np.abs(v, out=v)
-    v += 0.5
-    np.floor(v, out=v)
-    v *= sign
+    v = _round_in_place(np.asarray(v))
     n_sat = v.size - int(np.count_nonzero((v >= qmin) & (v <= qmax)))
     np.clip(v, qmin, qmax, out=v)
     return v, n_sat
