@@ -97,9 +97,13 @@ def _round_saturate(v, qmin: int, qmax: int):
     place and in float64, so a value beyond the limits saturates before
     any integer cast can overflow. v must be a float64 array the caller
     owns. Returns (v, count of elements outside the limits after rounding).
+    A NaN or infinite element raises DomainError.
     """
     v = _round_in_place(np.asarray(v))
     n_sat = v.size - int(np.count_nonzero((v >= qmin) & (v <= qmax)))
+    # NaN and +-inf fail both limit tests, so only a count > 0 needs the scan
+    if n_sat and not np.isfinite(v).all():
+        raise DomainError("cannot quantize NaN or infinite values")
     np.clip(v, qmin, qmax, out=v)
     return v, n_sat
 
@@ -108,7 +112,8 @@ def to_fixed(x, fmt: FixedPointFormat):
     """Quantize real values onto the format grid.
 
     Returns (q, n_saturated) where q is the int64 representation and
-    n_saturated counts elements clipped to the format limits.
+    n_saturated counts elements clipped to the format limits. A NaN or
+    infinite element raises DomainError.
     """
     v, n_sat = _round_saturate(np.asarray(x, dtype=np.float64)
                                * (1 << fmt.frac_bits), fmt.qmin, fmt.qmax)
@@ -196,6 +201,11 @@ class SqrtLut:
     Q-format integers in fmt. Slopes round toward zero so the linear
     piece can never overshoot the next knot, which keeps the table
     monotone even after per-element rounding.
+
+    The knots must be the ones build_sqrt_lut lays out, knots[i] =
+    knots[0] + (i * span + S // 2) // S with span = knots[S] - knots[0]
+    >= S, and span * S must stay below 2**63; eval_int's direct index
+    relies on both. Any other table raises ParameterError.
     """
 
     lo: float
@@ -207,15 +217,39 @@ class SqrtLut:
     slopes: np.ndarray
     max_abs_error: float
 
+    def __post_init__(self):
+        k, s = self.knots, self.segments
+        if not (isinstance(s, (int, np.integer)) and s >= 2 and k.shape == (s + 1,)
+                and self.intercepts.shape == (s + 1,) and self.slopes.shape == (s,)):
+            raise ParameterError(
+                "sqrt lut needs S >= 2 segments with S + 1 knots and intercepts "
+                "and S slopes"
+            )
+        lo, span = int(k[0]), int(k[-1]) - int(k[0])
+        if not s <= span < (1 << 63) // s:
+            raise ParameterError(
+                f"sqrt lut knot span {span} must lie in [S, 2**63 / S) for S = {s}"
+            )
+        if not np.array_equal(k, lo + (np.arange(s + 1) * span + s // 2) // s):
+            raise ParameterError("sqrt lut knots are not uniform")
+
     def eval_int(self, m_int):
-        """Evaluate at Q-format points inside [lo, hi). Returns Q-format values."""
+        """Evaluate at Q-format points inside [lo, hi). Returns Q-format values.
+
+        The segment index is computed, not searched: for d = m - knots[0]
+        in [0, span), g = (d * S) // span gives knots[g] <= m < knots[g + 2]
+        on the uniform knots, so one compare with knots[g + 1] finishes it.
+        d * S < span * S < 2**63, so the guess cannot overflow.
+        """
         m_int = np.asarray(m_int, dtype=np.int64)
-        if m_int.size and (m_int.min() < self.knots[0] or m_int.max() >= self.knots[-1]):
+        lo, hi = self.knots[0], self.knots[-1]
+        if m_int.size and (m_int.min() < lo or m_int.max() >= hi):
             raise DomainError(
                 f"sqrt lut input outside [{self.lo}, {self.hi}) after quantization"
             )
-        idx = np.searchsorted(self.knots, m_int, side="right") - 1
-        idx = np.clip(idx, 0, self.segments - 1)
+        idx = (m_int - lo) * self.segments
+        idx //= hi - lo
+        idx += m_int >= self.knots[1:][idx]
         dx = m_int - self.knots[idx]
         rise = rshift_round(self.slopes[idx] * dx, self.fmt.frac_bits)
         return self.intercepts[idx] + rise

@@ -11,10 +11,19 @@ reciprocal (gdn only; igdn multiplies by the root directly), multiply.
 Each stage boundary re-quantizes into that stage's declared format, and
 every computation between boundaries is integer arithmetic, so results
 are reproducible bit for bit.
+
+The fixed-point pipeline quantizes the parameters once per call and then
+runs every stage over one block of about _BLOCK elements (all channels
+of a run of spatial positions) before it moves on, so each stage's int64
+temporaries stay in cache instead of streaming whole maps through
+memory. GDN mixes channels only within a position, so blocking does not
+change a bit of the output or the saturation counts; the MAC headroom
+check runs per block and raises the same ParameterError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -25,9 +34,9 @@ from .fixed_point import (
     FixedPointFormat,
     SqrtLut,
     _reciprocal_q,
+    _round_saturate,
     build_sqrt_lut,
     from_fixed,
-    round_half_away,
     rshift_round,
     saturate_q,
     shift_round,
@@ -86,11 +95,11 @@ class GdnParams:
 
 
 def _channel_mix(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum_j gamma[i, j] * v[n, j, h, w] for float64 operands, as one
-    (C, C) @ (C, H*W) BLAS GEMM per image: a 1x1 GDN pool is a matrix
-    product over channels."""
-    n, c, h, w = v.shape
-    return (gamma @ v.reshape(n, c, h * w)).reshape(n, c, h, w)
+    """sum_j gamma[i, j] * v[n, j, ...] for float64 operands of shape
+    (N, C, ...), as one (C, C) @ (C, positions) BLAS GEMM per image: a
+    1x1 GDN pool is a matrix product over channels."""
+    n, c = v.shape[:2]
+    return (gamma @ v.reshape(n, c, math.prod(v.shape[2:]))).reshape(v.shape)
 
 
 def _pool(x: Tensor, params: GdnParams) -> np.ndarray:
@@ -125,6 +134,10 @@ def igdn_float(y: Tensor, params: GdnParams) -> Tensor:
 # ---------------------------------------------------------------------------
 
 STAGES = ("input", "square", "accum", "root", "recip", "output")
+
+# Elements (channels x positions) per block of the fixed-point pipeline:
+# a block's int64 temporaries (256 KB each) stay in a 2 MB L2 cache.
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -274,50 +287,64 @@ def _fixed_pipeline(x: Tensor, params: GdnParams, formats: GdnStageFormats,
         raise ShapeError(
             f"input has {x.c} channels but gdn params expect {params.channels}"
         )
+    beta_q, gamma_q = _quantize_params(params, formats)
+    lut = _lut_for(formats.root, formats.lut_segments)
     sat = dict.fromkeys(STAGES, 0)
+    n, c, hw = x.n, x.c, x.h * x.w
+    xv = x.data.reshape(n, c, hw)
+    out = np.empty(x.dims, dtype=np.float32)
+    ov = out.reshape(n, c, hw)
+    # whole images per block while they fit, else one image cut by position
+    per = max(1, _BLOCK // max(c, 1))
+    imgs = max(1, per // max(hw, 1))
+    for i in range(0, n, imgs):
+        for p in range(0, hw, per):
+            blk = np.s_[i:i + imgs, :, p:p + per]
+            ov[blk] = _fixed_block(xv[blk], beta_q, gamma_q, lut, formats, inverse, sat)
+    return Tensor._adopt(out), sat
+
+
+def _fixed_block(x, beta_q, gamma_q, lut, formats, inverse, sat):
+    """The pipeline on one (N, C, P) block of the input: the float64
+    output values. Adds the block's saturation counts into sat."""
     f_in, f_sq, f_acc = formats.input, formats.square, formats.accum
     f_root, f_rec, f_out = formats.root, formats.recip, formats.output
 
-    x_q, n = to_fixed(x.data, f_in)
-    sat["input"] = n
+    x_q, n = to_fixed(x, f_in)
+    sat["input"] += n
 
     sq = rshift_round(x_q * x_q, 2 * f_in.frac_bits - f_sq.frac_bits)
     sq, n = saturate_q(sq, f_sq)
-    sat["square"] = n
+    sat["square"] += n
 
-    beta_q, gamma_q = _quantize_params(params, formats)
-    if not _mac_headroom_ok(gamma_q, int(np.max(sq)) if sq.size else 0, x.c):
+    if not _mac_headroom_ok(gamma_q, int(np.max(sq)) if sq.size else 0, sq.shape[1]):
         raise ParameterError(
             "gamma accumulate would overflow 64-bit intermediates; "
             "use fewer fraction bits"
         )
-    acc_raw = _gamma_mac(gamma_q, sq)
     acc = rshift_round(
-        acc_raw, formats.param.frac_bits + f_sq.frac_bits - f_acc.frac_bits
+        _gamma_mac(gamma_q, sq), formats.param.frac_bits + f_sq.frac_bits - f_acc.frac_bits
     )
-    acc = acc + beta_q[None, :, None, None]
+    acc += beta_q[:, None]
     acc, n = saturate_q(acc, f_acc)
-    sat["accum"] = n
+    sat["accum"] += n
     acc = np.maximum(acc, 1)
 
-    lut = _lut_for(f_root, formats.lut_segments)
     root, n = _sqrt_range_reduced(acc, f_acc, lut, f_root)
-    sat["root"] = n
+    sat["root"] += n
     root = np.maximum(root, 1)
 
     if inverse:
         scale_q, scale_frac = root, f_root.frac_bits
     else:
         recip, n = _recip_stage(root, f_root, f_rec)
-        sat["recip"] = n
+        sat["recip"] += n
         scale_q, scale_frac = recip, f_rec.frac_bits
 
     out = rshift_round(x_q * scale_q, f_in.frac_bits + scale_frac - f_out.frac_bits)
     out, n = saturate_q(out, f_out)
-    sat["output"] = n
-
-    result = Tensor(from_fixed(out, f_out).astype(np.float32))
-    return result, sat
+    sat["output"] += n
+    return from_fixed(out, f_out)
 
 
 @dataclass
@@ -362,6 +389,14 @@ def _snap(v, fmt: FixedPointFormat):
     return from_fixed(to_fixed(v, fmt)[0], fmt)
 
 
+def _grid_q(v, frac_bits: int, limit: int):
+    """Positive float64 v onto the 2**-frac_bits grid as int64 in [1, limit].
+    Callers keep limit at most 2**62 and far past every format's range, so
+    it moves only values whose cast or later shift would overflow int64."""
+    q, _ = _round_saturate(v * (1 << frac_bits), 1, limit)
+    return q.astype(np.int64)
+
+
 def _hybrid_pipeline(x, params, formats, stage, inverse):
     """Float64 pipeline with exactly one stage quantized.
 
@@ -386,7 +421,7 @@ def _hybrid_pipeline(x, params, formats, stage, inverse):
             + params.beta[None, :, None, None]
     if stage == "root":
         lut = _lut_for(formats.root, formats.lut_segments)
-        acc_q = np.maximum(round_half_away(acc * (1 << formats.accum.frac_bits)), 1)
+        acc_q = _grid_q(acc, formats.accum.frac_bits, 1 << 62)
         root_q, _ = _sqrt_range_reduced(acc_q, formats.accum, lut, formats.root)
         root = from_fixed(np.maximum(root_q, 1), formats.root)
     else:
@@ -394,7 +429,10 @@ def _hybrid_pipeline(x, params, formats, stage, inverse):
     if inverse:
         out = xv * root
     elif stage == "recip":
-        root_q = np.maximum(round_half_away(root * (1 << formats.root.frac_bits)), 1)
+        # _recip_stage shifts root_q left by lift bits: at most 2**62, which
+        # is still past every recip qmax, so the clamp changes no output
+        lift = max(0, formats.recip.frac_bits - formats.root.frac_bits)
+        root_q = _grid_q(root, formats.root.frac_bits, 1 << (62 - lift))
         recip_q, _ = _recip_stage(root_q, formats.root, formats.recip)
         out = xv * from_fixed(recip_q, formats.recip)
     else:

@@ -159,7 +159,8 @@ def int_dtype(bits: int) -> str:
 
 
 def quantize_with_stats(x, p: QuantParams):
-    """Quantize to integers; returns (q, n_saturated)."""
+    """Quantize to integers; returns (q, n_saturated). A NaN or infinite
+    element raises DomainError."""
     scaled = np.divide(x, p.scale, dtype=np.float64)
     q, n_sat = _round_saturate(scaled, p.qmin, p.qmax)
     return q.astype(int_dtype(p.bits)), n_sat

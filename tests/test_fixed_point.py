@@ -91,6 +91,17 @@ def test_to_fixed_saturates_values_beyond_int64():
     assert sat == 2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [0, 1, 4])
+def test_to_fixed_rejects_non_finite_values(bad, at):
+    x = np.array([0.5, -1.0, 3.0, 1e20, -2.0])
+    x[at] = bad
+    with pytest.raises(DomainError, match="NaN or infinite"):
+        to_fixed(x, FixedPointFormat(16, 8))
+    with pytest.raises(DomainError, match="NaN or infinite"):
+        to_fixed(bad, FixedPointFormat(32, 24))
+
+
 @given(st.floats(min_value=-100.0, max_value=100.0,
                  allow_nan=False, allow_infinity=False))
 @settings(max_examples=200)

@@ -3,17 +3,21 @@ loop and int64-einsum kernels they replaced.
 
 The oracles below are the package's earlier implementation, kept
 verbatim: shift_round looped over the unique shifts, rshift_round
-negated through np.where, and the gamma MAC was one int64 einsum. Every
-kernel is integer arithmetic, so the new kernels must agree with them
-bit for bit, saturation counts included.
+negated through np.where, the gamma MAC was one int64 einsum, the sqrt
+LUT found its segment with np.searchsorted, and the pipeline ran each
+stage once over the whole map. Every kernel is integer arithmetic, so
+the new kernels must agree with them bit for bit, saturation counts
+included.
 """
 
 import contextlib
+import json
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -26,8 +30,16 @@ from lic_hw_kit import (
     to_fixed,
 )
 from lic_hw_kit import fixed_point, gdn
-from lic_hw_kit.errors import ParameterError, ShapeError
-from lic_hw_kit.fixed_point import from_fixed, rshift_round, saturate_q, shift_round
+from lic_hw_kit.errors import DomainError, ParameterError, ShapeError
+from lic_hw_kit.fixed_point import (
+    FixedPointFormat,
+    SqrtLut,
+    build_sqrt_lut,
+    from_fixed,
+    rshift_round,
+    saturate_q,
+    shift_round,
+)
 
 
 def oracle_rshift_round(v, nbits: int):
@@ -52,22 +64,36 @@ def oracle_shift_round(v, nbits):
     return out
 
 
+def oracle_eval_int(lut, m_int):
+    m_int = np.asarray(m_int, dtype=np.int64)
+    if m_int.size and (m_int.min() < lut.knots[0] or m_int.max() >= lut.knots[-1]):
+        raise DomainError(
+            f"sqrt lut input outside [{lut.lo}, {lut.hi}) after quantization"
+        )
+    idx = np.searchsorted(lut.knots, m_int, side="right") - 1
+    idx = np.clip(idx, 0, lut.segments - 1)
+    dx = m_int - lut.knots[idx]
+    rise = oracle_rshift_round(lut.slopes[idx] * dx, lut.fmt.frac_bits)
+    return lut.intercepts[idx] + rise
+
+
 @contextlib.contextmanager
-def oracle_shifts():
+def oracle_kernels():
     """Route the package's stage helpers (range-reduced sqrt, LUT,
-    reciprocal) through the oracle shifts."""
+    reciprocal) through the oracle shifts and the searchsorted LUT."""
     shifts = dict(rshift_round=oracle_rshift_round, shift_round=oracle_shift_round)
-    with mock.patch.multiple(fixed_point, **shifts), mock.patch.multiple(gdn, **shifts):
+    with mock.patch.multiple(fixed_point, **shifts), mock.patch.multiple(gdn, **shifts), \
+            mock.patch.object(fixed_point.SqrtLut, "eval_int", oracle_eval_int):
         yield
 
 
 def oracle_fixed_pipeline(x, params, formats, inverse):
-    """The fixed-point pipeline with the int64 einsum MAC and the oracle
-    shifts."""
+    """The fixed-point pipeline in one pass over the whole map, with the
+    int64 einsum MAC, the oracle shifts and the searchsorted LUT."""
     sat = dict.fromkeys(gdn.STAGES, 0)
     f_in, f_sq, f_acc = formats.input, formats.square, formats.accum
     f_root, f_rec, f_out = formats.root, formats.recip, formats.output
-    with oracle_shifts():
+    with oracle_kernels():
         x_q, n = to_fixed(x.data, f_in)
         sat["input"] = n
         sq = oracle_rshift_round(x_q * x_q, 2 * f_in.frac_bits - f_sq.frac_bits)
@@ -286,3 +312,170 @@ def test_mac_headroom_error_kept():
     x = Tensor(np.full((1, c, 2, 2), 100.0))
     with pytest.raises(ParameterError, match="overflow"):
         gdn_fixed_with_stats(x, params, formats)
+
+
+# ---------------------------------------------------------------------------
+# Blocked pipeline
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _blocks(size):
+    """Run the pipeline with _BLOCK = size and record each block's shape."""
+    shapes = []
+
+    def spy(x, *args):
+        shapes.append(x.shape)
+        return block(x, *args)
+
+    block = gdn._fixed_block
+    with mock.patch.object(gdn, "_BLOCK", size), mock.patch.object(gdn, "_fixed_block", spy):
+        yield shapes
+
+
+@pytest.mark.parametrize("size", [1, 40, 100])
+@pytest.mark.parametrize("bits", [8, 16, 32])
+@pytest.mark.parametrize("c", [1, 3, 128])
+@pytest.mark.parametrize("inverse", [False, True], ids=["gdn", "igdn"])
+def test_small_blocks_match_oracle(size, bits, c, inverse):
+    rng = np.random.default_rng([size, bits, c])
+    n, h, w = 2, 6, 7
+    x = Tensor(np.clip(rng.laplace(0.0, 1.5, (n, c, h, w)), -8.0, 8.0))
+    params, formats = _params(rng, c), GdnStageFormats.default(bits)
+    fn = igdn_fixed_with_stats if inverse else gdn_fixed_with_stats
+    with _blocks(size) as shapes:
+        out, stats = fn(x, params, formats)
+    ref, sat = oracle_fixed_pipeline(x, params, formats, inverse)
+    assert np.array_equal(out.data, ref.data)
+    assert stats.saturation == sat
+    # every block holds all channels and at most max(size, C) elements,
+    # and the blocks cover the map once
+    assert all(b[1] == c and b[0] * b[1] * b[2] <= max(size, c) for b in shapes)
+    assert sum(b[0] * b[2] for b in shapes) == n * h * w
+    assert len(shapes) > 1 or n * c * h * w <= size
+
+
+def test_blocks_group_whole_images():
+    rng = np.random.default_rng(4)
+    c = 2
+    x = Tensor(rng.uniform(-4.0, 4.0, (5, c, 3, 3)))
+    params, formats = _params(rng, c), GdnStageFormats.default(16)
+    with _blocks(2 * c * 9) as shapes:
+        out, stats = gdn_fixed_with_stats(x, params, formats)
+    assert shapes == [(2, c, 9), (2, c, 9), (1, c, 9)]
+    ref, sat = oracle_fixed_pipeline(x, params, formats, False)
+    assert np.array_equal(out.data, ref.data)
+    assert stats.saturation == sat
+
+
+def test_mac_headroom_error_raised_by_a_later_block():
+    c = 4
+    formats = GdnStageFormats.default(32)
+    params = GdnParams(beta=np.ones(c), gamma=np.full((c, c), 100.0))
+    data = np.full((1, c, 4, 4), 0.1)
+    data[0, :, 3, 3] = 100.0  # only the last position overflows the MAC
+    with _blocks(c) as shapes:
+        out, _ = gdn_fixed_with_stats(Tensor(data[:, :, :3]), params, formats)
+    assert len(shapes) == 12 and np.isfinite(out.data).all()
+    with _blocks(c) as shapes, pytest.raises(ParameterError, match="overflow"):
+        gdn_fixed_with_stats(Tensor(data), params, formats)
+    assert len(shapes) == 16
+
+
+# ---------------------------------------------------------------------------
+# Sqrt LUT index
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _luts(draw):
+    """A LUT domain, segment count and format that build_sqrt_lut takes,
+    with the table's grid span: positive, non-empty, sqrt(hi) in range and
+    at least one grid step per segment. Spans reach 2**62, past the direct
+    index's bound; segments stay below 2**53 grid steps, where the build's
+    error scan indexes exactly."""
+    total = draw(st.sampled_from([8, 16, 32]))
+    fmt = FixedPointFormat(total, draw(st.integers(0, total - 1)))
+    one = 1 << fmt.frac_bits
+    top = math.floor(fmt.max_value ** 2 * one)
+    assume(top >= 3)
+    lo = draw(st.integers(1, top - 2))
+    hi = draw(st.integers(lo + 2, top))
+    segments = draw(st.integers(2, min(hi - lo, 300)))
+    domain = (lo / one, hi / one)
+    span = int(fixed_point.round_half_away(domain[1] * one)) \
+        - int(fixed_point.round_half_away(domain[0] * one))
+    assume(segments <= span < 2 ** 53 * segments)
+    assume(math.sqrt(domain[1]) <= fmt.max_value)
+    return domain, segments, fmt, span
+
+
+@given(_luts(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_lut_direct_index_matches_searchsorted(spec, seed):
+    domain, segments, fmt, span = spec
+    if span * segments >= 1 << 63:
+        with pytest.raises(ParameterError, match="span"):
+            build_sqrt_lut(domain, segments, fmt)
+        return
+    lut = build_sqrt_lut(domain, segments, fmt)
+    k = lut.knots
+    rng = np.random.default_rng(seed)
+    pts = np.concatenate([k, k - 1, k + 1, rng.integers(k[0], k[-1], 64)])
+    pts = pts[(pts >= k[0]) & (pts < k[-1])]
+    assert _same(lut.eval_int(pts), oracle_eval_int(lut, pts))
+    assert _same(lut.eval_int(pts[0]), oracle_eval_int(lut, pts[0]))
+    for outside in (k[0] - 1, k[-1]):
+        with pytest.raises(DomainError):
+            lut.eval_int(np.array([k[0], outside]))
+
+
+def test_stock_luts_match_searchsorted_on_every_point():
+    for bits in (8, 16):
+        formats = GdnStageFormats.default(bits)
+        lut = gdn._lut_for(formats.root, formats.lut_segments)
+        pts = np.arange(lut.knots[0], lut.knots[-1])
+        assert _same(lut.eval_int(pts), oracle_eval_int(lut, pts))
+
+
+def _edited(lut, **changes):
+    d = json.loads(lut.to_json())
+    d.update(changes)
+    return json.dumps(d)
+
+
+def test_from_json_rejects_edited_knots():
+    lut = build_sqrt_lut(segments=7, fmt=FixedPointFormat(16, 8))
+    assert SqrtLut.from_json(lut.to_json()).to_json() == lut.to_json()
+    knots = lut.knots.tolist()
+    for i, step in [(1, 1), (3, -1), (6, 1), (7, 1), (0, -1)]:
+        moved = knots.copy()
+        moved[i] += step
+        with pytest.raises(ParameterError):
+            SqrtLut.from_json(_edited(lut, knots=moved))
+    # uniform spacing laid out with floor instead of the rounded offset
+    floor = [knots[0] + i * (knots[-1] - knots[0]) // 7 for i in range(8)]
+    assert floor != knots
+    with pytest.raises(ParameterError, match="not uniform"):
+        SqrtLut.from_json(_edited(lut, knots=floor))
+    for changes in ({"segments": 6}, {"knots": knots[:-1]}, {"slopes": [1] * 8}):
+        with pytest.raises(ParameterError):
+            SqrtLut.from_json(_edited(lut, **changes))
+    # a span whose direct index could overflow int64
+    wide = [(i * 2 ** 61 + 3) // 7 for i in range(8)]
+    with pytest.raises(ParameterError, match="span"):
+        SqrtLut.from_json(_edited(lut, knots=wide))
+
+
+# ---------------------------------------------------------------------------
+# Error attribution grid
+# ---------------------------------------------------------------------------
+
+
+def test_grid_q_matches_the_unclamped_cast_inside_int64():
+    v = np.array([0.0, 1e-9, 0.75, 3.5, 2.0 ** 30, 2.0 ** 38 - 0.5])
+    for f in (0, 8, 24):
+        old = np.maximum(fixed_point.round_half_away(v * (1 << f)), 1)
+        assert _same(gdn._grid_q(v, f, 1 << 62), old)
+    huge = gdn._grid_q(np.array([1e30, 1e300]), 24, 1 << 62)
+    assert huge.tolist() == [1 << 62, 1 << 62]

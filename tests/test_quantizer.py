@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from lic_hw_kit import (
     CalibrationError,
+    DomainError,
     ParameterError,
     PrecisionPolicy,
     QuantParams,
@@ -17,6 +18,7 @@ from lic_hw_kit import (
     model_forward,
     ptq,
     quant_params_from_stats,
+    quantize,
     quantize_with_stats,
     ste_grad,
 )
@@ -134,6 +136,16 @@ def test_quantize_saturates_to_the_limits(bits, values):
     q, sat = quantize_with_stats(np.array(values + [0.5]), p)
     assert q.tolist() == [p.qmax, p.qmin, round(0.5 / p.scale)]
     assert sat == 2
+
+
+@pytest.mark.parametrize("bits", [8, 16, 32])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quantize_rejects_non_finite_values(bits, bad):
+    p = quant_params_from_stats(StatRange(-1.0, 1.0), bits=bits)
+    with pytest.raises(DomainError, match="NaN or infinite"):
+        quantize_with_stats(np.array([0.5, bad, 200.0]), p)
+    with pytest.raises(DomainError, match="NaN or infinite"):
+        quantize(np.float32(bad), p)
 
 # ---------------------------------------------------------------------------
 # Calibration
