@@ -301,8 +301,9 @@ def _measure_lut_error(lut: SqrtLut) -> float:
     """Max |lut - sqrt| over the domain, scanned on the format grid.
 
     Segments wider than _SCAN_CAP_PER_SEGMENT grid steps are subsampled,
-    with the analytic interior extremum of the linear-interpolation error
-    added so the subsampling cannot miss the peak.
+    with the last grid point and the analytic interior extremum of the
+    linear-interpolation error added so the subsampling cannot miss the
+    peak.
     """
     ulp = lut.fmt.ulp
     worst = 0.0
@@ -314,8 +315,10 @@ def _measure_lut_error(lut: SqrtLut) -> float:
         if width <= _SCAN_CAP_PER_SEGMENT:
             pts = np.arange(a, b, dtype=np.int64)
         else:
-            pts = a + (np.arange(_SCAN_CAP_PER_SEGMENT, dtype=np.int64)
-                       * width) // _SCAN_CAP_PER_SEGMENT
+            # floor(j·width / cap), split so no product can leave int64
+            q, r = divmod(width, _SCAN_CAP_PER_SEGMENT)
+            j = np.arange(_SCAN_CAP_PER_SEGMENT, dtype=np.int64)
+            pts = np.append(a + j * q + (j * r) // _SCAN_CAP_PER_SEGMENT, b - 1)
             slope = float(lut.slopes[i]) * ulp
             if slope > 0:
                 x_star = 1.0 / (4.0 * slope * slope)

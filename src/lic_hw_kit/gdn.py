@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, ShapeError
+from .errors import ParameterError, ShapeError
 from .fixed_point import (
     FixedPointFormat,
     SqrtLut,
@@ -145,7 +145,8 @@ class GdnStageFormats:
     """One fixed-point format per pipeline stage boundary.
 
     param is the gamma storage format; beta is held directly in the
-    accumulator format so the add needs no rescale.
+    accumulator format so the add needs no rescale. The root stage's sqrt
+    LUT always has 64 segments over [1, 4) (fewer on a coarser grid).
     """
 
     input: FixedPointFormat
@@ -155,7 +156,6 @@ class GdnStageFormats:
     recip: FixedPointFormat
     output: FixedPointFormat
     param: FixedPointFormat
-    lut_segments: int = 64
 
     @classmethod
     def default(cls, total_bits: int) -> "GdnStageFormats":
@@ -198,10 +198,10 @@ class GdnStageFormats:
 
 
 @lru_cache(maxsize=None)
-def _lut_for(fmt: FixedPointFormat, segments: int) -> SqrtLut:
-    # a coarse grid cannot support more segments than it has points
+def _lut_for(fmt: FixedPointFormat) -> SqrtLut:
+    # 64 segments, or one per grid point on a grid coarser than that
     span = int(round(3.0 / fmt.ulp))
-    return build_sqrt_lut(domain=(1.0, 4.0), segments=min(segments, span), fmt=fmt)
+    return build_sqrt_lut(domain=(1.0, 4.0), segments=min(64, span), fmt=fmt)
 
 
 def _require_half_alpha(params: GdnParams):
@@ -288,7 +288,7 @@ def _fixed_pipeline(x: Tensor, params: GdnParams, formats: GdnStageFormats,
             f"input has {x.c} channels but gdn params expect {params.channels}"
         )
     beta_q, gamma_q = _quantize_params(params, formats)
-    lut = _lut_for(formats.root, formats.lut_segments)
+    lut = _lut_for(formats.root)
     sat = dict.fromkeys(STAGES, 0)
     n, c, hw = x.n, x.c, x.h * x.w
     xv = x.data.reshape(n, c, hw)
@@ -420,7 +420,7 @@ def _hybrid_pipeline(x, params, formats, stage, inverse):
         acc = np.einsum("ij,njhw->nihw", params.gamma, sq) \
             + params.beta[None, :, None, None]
     if stage == "root":
-        lut = _lut_for(formats.root, formats.lut_segments)
+        lut = _lut_for(formats.root)
         acc_q = _grid_q(acc, formats.accum.frac_bits, 1 << 62)
         root_q, _ = _sqrt_range_reduced(acc_q, formats.accum, lut, formats.root)
         root = from_fixed(np.maximum(root_q, 1), formats.root)

@@ -76,7 +76,6 @@ class LossBreakdown:
     rd: float
     total: float
     weights: KdWeights
-    phase: str = "early"
 
 
 def latent_loss(a: Tensor, b: Tensor) -> float:
@@ -87,16 +86,9 @@ def latent_loss(a: Tensor, b: Tensor) -> float:
     return float(np.mean(diff ** 2))
 
 
-def perceptual_loss(x_teacher: Tensor, x_student: Tensor, extractor,
-                    reduction: str = "sum") -> float:
-    """Sum over feature levels of the squared feature differences.
-
-    reduction="sum" totals the squared differences within each level
-    (the raw formulation); "mean" averages within each level instead,
-    which removes the dependence on feature-map size.
-    """
-    if reduction not in ("sum", "mean"):
-        raise ParameterError(f"unknown reduction {reduction!r}")
+def perceptual_loss(x_teacher: Tensor, x_student: Tensor, extractor) -> float:
+    """Sum over feature levels of the squared feature differences, each
+    level totalled over all its elements (the raw formulation)."""
     feats_t = extractor(x_teacher)
     feats_s = extractor(x_student)
     if len(feats_t) != len(feats_s):
@@ -106,8 +98,7 @@ def perceptual_loss(x_teacher: Tensor, x_student: Tensor, extractor,
         if ft.dims != fs.dims:
             raise ShapeError(f"feature dims differ: {ft.dims} vs {fs.dims}")
         d = ft.data.astype(np.float64) - fs.data.astype(np.float64)
-        sq = d ** 2
-        total += float(np.sum(sq) if reduction == "sum" else np.mean(sq))
+        total += float(np.sum(d ** 2))
     return total
 
 

@@ -97,14 +97,6 @@ class WorkloadProfile:
     def from_gop(cls, per_role_gop: dict) -> "WorkloadProfile":
         return cls({role: float(g) * 1e9 for role, g in per_role_gop.items()})
 
-    @staticmethod
-    def combine(profiles) -> "WorkloadProfile":
-        merged = {}
-        for p in profiles:
-            for role, ops in p.per_role.items():
-                merged[role] = merged.get(role, 0.0) + ops
-        return WorkloadProfile(merged)
-
 
 @dataclass(frozen=True)
 class FpsEstimate:

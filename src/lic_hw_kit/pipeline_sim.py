@@ -24,7 +24,7 @@ across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from math import ceil
 
@@ -82,18 +82,7 @@ class SimResult:
     partition: list = field(default_factory=list)  # stage names per core
 
     def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "fps": self.fps,
-            "makespan_s": self.makespan_s,
-            "frames": self.frames,
-            "cores": self.cores,
-            "busy_per_core": list(self.busy_per_core),
-            "busy_fraction": self.busy_fraction,
-            "bytes_moved": self.bytes_moved,
-            "avg_bandwidth_bytes_per_s": self.avg_bandwidth_bytes_per_s,
-            "partition": [list(g) for g in self.partition],
-        }
+        return asdict(self)
 
 
 def partition_stages(stages, cores: int):

@@ -141,16 +141,6 @@ def _select_removals(model: ModelSpec, counts: dict) -> dict:
     return removals
 
 
-def _prune_by_counts(model: ModelSpec, counts: dict):
-    removals = _select_removals(model, counts)
-    keep_out = {}
-    for li, removed in removals.items():
-        mask = np.ones(model.layers[li].out_channels, dtype=bool)
-        mask[removed] = False
-        keep_out[li] = np.flatnonzero(mask)
-    return _apply_keeps(model, keep_out), removals
-
-
 def _base_report(model: ModelSpec, input_hw) -> PruneReport:
     rep = PruneReport()
     rep.params_before = model.param_count()
@@ -206,15 +196,15 @@ def iterative_prune(model: ModelSpec, schedule: PruneSchedule,
 
     cur = model
     for it in range(schedule.iterations):
-        cur, removals = _prune_by_counts(cur, per_iter)
+        removals = _select_removals(cur, per_iter)
+        keep_out = {}
         for li in sorted(removals):
-            original = [int(survivors[li][i]) for i in removals[li]]
-            mask = np.ones(len(survivors[li]), dtype=bool)
-            mask[removals[li]] = False
-            survivors[li] = survivors[li][mask]
-            rep.removals.append(
-                {"iteration": it, "layer": li, "removed": original}
-            )
+            keep_out[li] = np.delete(np.arange(cur.layers[li].out_channels),
+                                     removals[li])
+            rep.removals.append({"iteration": it, "layer": li,
+                                 "removed": survivors[li][removals[li]].tolist()})
+            survivors[li] = survivors[li][keep_out[li]]
+        cur = _apply_keeps(cur, keep_out)
         if finetune_hook is not None:
             replacement = finetune_hook(cur, it)
             if replacement is not None:

@@ -72,22 +72,6 @@ class Tensor:
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
 
-    @classmethod
-    def zeros(cls, n, c, h, w):
-        return cls(np.zeros((n, c, h, w), dtype=np.float32))
-
-    @classmethod
-    def from_flat(cls, dims, flat):
-        """Build from extents plus a flat row-major payload."""
-        n, c, h, w = (int(d) for d in dims)
-        flat = np.asarray(flat, dtype=np.float32)
-        if flat.size != n * c * h * w:
-            raise ShapeError(
-                f"payload holds {flat.size} elements, dims {(n, c, h, w)} "
-                f"need {n * c * h * w}"
-            )
-        return cls(flat.reshape(n, c, h, w))
-
     @property
     def n(self):
         return self.data.shape[0]
@@ -142,5 +126,4 @@ def load_tensor(buf: bytes) -> Tensor:
         raise MalformedHeaderError(
             f"{len(body) - expected} trailing bytes after tensor payload"
         )
-    flat = np.frombuffer(body, dtype="<f4", count=expected // 4)
-    return Tensor.from_flat(dims, flat)
+    return Tensor(np.frombuffer(body, dtype="<f4").reshape(dims))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lic_hw_kit import (
     DomainError,
     FixedPointFormat,
+    GdnStageFormats,
     ParameterError,
     SqrtLut,
     build_sqrt_lut,
@@ -17,6 +18,7 @@ from lic_hw_kit import (
     round_half_away,
     to_fixed,
 )
+from lic_hw_kit import gdn
 from lic_hw_kit.fixed_point import (
     reciprocal_error_bound,
     rshift_round,
@@ -171,6 +173,23 @@ def test_lut_error_shrinks_with_segments():
     coarse = build_sqrt_lut(segments=8, fmt=fmt)
     fine = build_sqrt_lut(segments=64, fmt=fmt)
     assert fine.max_abs_error < coarse.max_abs_error
+
+
+def test_lut_error_scan_handles_segments_past_2_53_grid_steps():
+    # each segment is about 9e15 grid steps wide, so j·width leaves int64;
+    # both slopes quantize to 0 and the peak error sits at a segment's end
+    fmt = FixedPointFormat(32, 0)
+    lut = build_sqrt_lut((1.0, 1.8032007892189204e16), 2, fmt)
+    pts = np.random.default_rng(0).integers(lut.knots[0], lut.knots[-1], 4001)
+    err = np.abs(from_fixed(lut.eval_int(pts), fmt) - np.sqrt(pts * fmt.ulp)).max()
+    assert 0 < err <= lut.max_abs_error + fmt.ulp
+
+
+def test_stock_lut_errors_are_pinned():
+    got = {bits: gdn._lut_for(GdnStageFormats.default(bits).root).max_abs_error
+           for bits in (8, 16, 32)}
+    assert got == {8: 0.06149167310370851, 16: 0.0009765625,
+                   32: 6.633562843760821e-05}
 
 
 def test_lut_rejects_bad_domain_and_segments():

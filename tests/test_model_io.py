@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -135,3 +138,31 @@ def test_quantized_load_reconstructs_runnable_model(rng):
     for layer in back.model.layers:
         if layer.kind in ("gdn", "igdn"):
             assert (layer.gdn_params.beta > 0).all()
+
+
+_PREFIX = struct.Struct("<4sIQ")  # magic, version, header length
+
+
+def _without_layer_field(blob, field):
+    """The container with `field` deleted from its first layer entry."""
+    magic, version, head_len = _PREFIX.unpack_from(blob)
+    header = json.loads(blob[_PREFIX.size:_PREFIX.size + head_len])
+    if field is not None:
+        del header["layers"][0][field]
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    return (_PREFIX.pack(magic, version, len(head)) + head
+            + blob[_PREFIX.size + head_len:])
+
+
+@pytest.mark.parametrize("field", ["kind", "in_channels", "out_channels",
+                                   "kernel", "stride", "padding"])
+@pytest.mark.parametrize("container", ["float", "quantized"])
+def test_layer_entry_missing_a_required_field_is_rejected(rng, container, field):
+    qm = _quantized(rng)
+    if container == "float":
+        blob, load = save_model(qm.model), load_model
+    else:
+        blob, load = save_quantized_model(qm), load_quantized_model
+    assert _without_layer_field(blob, None) == blob
+    with pytest.raises(MalformedHeaderError, match=field):
+        load(_without_layer_field(blob, field))

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from lic_hw_kit import (
@@ -77,14 +76,6 @@ def test_zero_workload_rejected():
         estimate_fps(DpuConfig(), WorkloadProfile(per_role={}))
     with pytest.raises(DomainError):
         estimate_fps(DpuConfig(), WorkloadProfile.from_gop({"total": 0.0}))
-
-
-def test_workload_profile_combines():
-    a = WorkloadProfile.from_gop({"main_encoder": 1.0})
-    b = WorkloadProfile.from_gop({"main_decoder": 2.0, "main_encoder": 0.5})
-    c = WorkloadProfile.combine([a, b])
-    assert c.total == pytest.approx(3.5e9)
-    assert c.per_role["main_encoder"] == pytest.approx(1.5e9)
 
 
 # ---------------------------------------------------------------------------
