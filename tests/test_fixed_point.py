@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -190,6 +191,33 @@ def test_stock_lut_errors_are_pinned():
            for bits in (8, 16, 32)}
     assert got == {8: 0.06149167310370851, 16: 0.0009765625,
                    32: 6.633562843760821e-05}
+
+
+# SHA-256 of to_json() for the stock tables: the GDN root LUT at each
+# default width, and the 64-segment Q8.24 table over [1, 4)
+_LUT_JSON_SHA256 = {
+    8: "51669987bea11b302da75ec91304f5ad5d1d1e6eccb001e53135d29dabe99c50",
+    16: "8f100dc599793a5ab2924c7e8aa6148247d094db9fa1b28951dacfe012c2455f",
+    32: "6ad43fa60288daa2d93bd13cc53fe612f7a5364a9c21abc33ba389170c563dc5",
+    "q8.24": "5efb82d64bd6b139902016e2aefefcff9887c2bc5580755f0284ece29b47b735",
+}
+
+
+def test_stock_lut_json_bytes_are_pinned():
+    luts = {bits: gdn._lut_for(GdnStageFormats.default(bits).root)
+            for bits in (8, 16, 32)}
+    luts["q8.24"] = build_sqrt_lut((1.0, 4.0), 64, FixedPointFormat(32, 24))
+    got = {k: hashlib.sha256(lut.to_json().encode()).hexdigest()
+           for k, lut in luts.items()}
+    assert got == _LUT_JSON_SHA256
+
+
+def test_lut_rejects_a_span_whose_direct_index_could_overflow():
+    # (2**61 - 1) * 4 < 2**63 builds; half as wide again does not
+    fmt = FixedPointFormat(32, 0)
+    assert build_sqrt_lut((1.0, 2.0 ** 61), 4, fmt).segments == 4
+    with pytest.raises(ParameterError, match="span"):
+        build_sqrt_lut((1.0, 1.5 * 2.0 ** 61), 4, fmt)
 
 
 def test_lut_rejects_bad_domain_and_segments():
