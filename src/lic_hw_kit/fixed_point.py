@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -196,42 +196,61 @@ def saturate_q(q, fmt: FixedPointFormat):
 class SqrtLut:
     """Uniform-segment piecewise-linear sqrt over [lo, hi).
 
-    knots holds the S+1 segment boundaries, intercepts the rounded
-    sqrt values at each knot, slopes the per-segment rise. All three are
-    Q-format integers in fmt. Slopes round toward zero so the linear
-    piece can never overshoot the next knot, which keeps the table
-    monotone even after per-element rounding.
-
-    The knots must be the ones build_sqrt_lut lays out, knots[i] =
-    knots[0] + (i * span + S // 2) // S with span = knots[S] - knots[0]
-    >= S, and span * S must stay below 2**63; eval_int's direct index
-    relies on both. Any other table raises ParameterError.
+    The tables are derived from the domain, segment count S and format:
+    knots holds the S+1 segment boundaries, knots[i] = lo_q + (i * span
+    + S // 2) // S with lo_q and lo_q + span the domain ends on the grid;
+    intercepts the rounded sqrt values at each knot; slopes the
+    per-segment rise. All three are Q-format integers in fmt. Slopes
+    round toward zero so the linear piece can never overshoot the next
+    knot, which keeps the table monotone even after per-element rounding.
+    eval_int's direct index needs span * S below 2**63, so a wider span
+    raises ParameterError.
     """
 
     lo: float
     hi: float
-    segments: int
-    fmt: FixedPointFormat
-    knots: np.ndarray
-    intercepts: np.ndarray
-    slopes: np.ndarray
-    max_abs_error: float
+    segments: int = 64
+    fmt: FixedPointFormat = FixedPointFormat(32, 24)
+    knots: np.ndarray = field(init=False, compare=False)
+    intercepts: np.ndarray = field(init=False, compare=False)
+    slopes: np.ndarray = field(init=False, compare=False)
+    max_abs_error: float = field(init=False, compare=False)
 
     def __post_init__(self):
-        k, s = self.knots, self.segments
-        if not (isinstance(s, (int, np.integer)) and s >= 2 and k.shape == (s + 1,)
-                and self.intercepts.shape == (s + 1,) and self.slopes.shape == (s,)):
+        lo, hi, segments, fmt = float(self.lo), float(self.hi), self.segments, self.fmt
+        if lo <= 0:
+            raise DomainError(f"sqrt lut domain must be positive; got lo={lo}")
+        if hi <= lo:
+            raise DomainError(f"sqrt lut domain is empty: [{lo}, {hi})")
+        if segments < 2:
+            raise ParameterError("sqrt lut needs at least 2 segments")
+        if math.sqrt(hi) > fmt.max_value:
             raise ParameterError(
-                "sqrt lut needs S >= 2 segments with S + 1 knots and intercepts "
-                "and S slopes"
+                f"sqrt({hi}) = {math.sqrt(hi):.4f} exceeds the format range "
+                f"[{fmt.min_value}, {fmt.max_value}]"
             )
-        lo, span = int(k[0]), int(k[-1]) - int(k[0])
-        if not s <= span < (1 << 63) // s:
+
+        one = 1 << fmt.frac_bits
+        lo_int = int(round_half_away(lo * one))
+        span = int(round_half_away(hi * one)) - lo_int
+        if span < segments:
+            raise ParameterError("format too coarse: fewer grid points than segments")
+        if span >= (1 << 63) // segments:
             raise ParameterError(
-                f"sqrt lut knot span {span} must lie in [S, 2**63 / S) for S = {s}"
+                f"sqrt lut knot span {span} must lie in [S, 2**63 / S) for S = {segments}"
             )
-        if not np.array_equal(k, lo + (np.arange(s + 1) * span + s // 2) // s):
-            raise ParameterError("sqrt lut knots are not uniform")
+
+        knots = np.array(
+            [lo_int + (i * span + segments // 2) // segments for i in range(segments + 1)],
+            dtype=np.int64,
+        )
+        intercepts = round_half_away(np.sqrt(knots * fmt.ulp) * one)
+        # floor, not round: see the class docstring
+        slopes = ((intercepts[1:] - intercepts[:-1]) << fmt.frac_bits) // np.diff(knots)
+        for name, value in (("lo", lo), ("hi", hi), ("knots", knots),
+                            ("intercepts", intercepts), ("slopes", slopes)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "max_abs_error", _measure_lut_error(self))
 
     def eval_int(self, m_int):
         """Evaluate at Q-format points inside [lo, hi). Returns Q-format values.
@@ -278,21 +297,6 @@ class SqrtLut:
             sort_keys=True,
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "SqrtLut":
-        d = json.loads(text)
-        fmt = FixedPointFormat(d["format"]["total_bits"], d["format"]["frac_bits"])
-        return cls(
-            lo=d["domain"][0],
-            hi=d["domain"][1],
-            segments=d["segments"],
-            fmt=fmt,
-            knots=np.asarray(d["knots"], dtype=np.int64),
-            intercepts=np.asarray(d["intercepts"], dtype=np.int64),
-            slopes=np.asarray(d["slopes"], dtype=np.int64),
-            max_abs_error=d["max_abs_error"],
-        )
-
 
 _SCAN_CAP_PER_SEGMENT = 1024
 
@@ -310,8 +314,6 @@ def _measure_lut_error(lut: SqrtLut) -> float:
     for i in range(lut.segments):
         a, b = int(lut.knots[i]), int(lut.knots[i + 1])
         width = b - a
-        if width <= 0:
-            continue
         if width <= _SCAN_CAP_PER_SEGMENT:
             pts = np.arange(a, b, dtype=np.int64)
         else:
@@ -341,47 +343,7 @@ def build_sqrt_lut(domain=(1.0, 4.0), segments: int = 64,
     sqrt(m * 4**k) = sqrt(m) * 2**k needs only this table plus shifts.
     64 segments keep the 32-bit pipeline inside its error envelope.
     """
-    lo, hi = float(domain[0]), float(domain[1])
-    if lo <= 0:
-        raise DomainError(f"sqrt lut domain must be positive; got lo={lo}")
-    if hi <= lo:
-        raise DomainError(f"sqrt lut domain is empty: [{lo}, {hi})")
-    if segments < 2:
-        raise ParameterError("sqrt lut needs at least 2 segments")
-    if math.sqrt(hi) > fmt.max_value:
-        raise ParameterError(
-            f"sqrt({hi}) = {math.sqrt(hi):.4f} exceeds the format range "
-            f"[{fmt.min_value}, {fmt.max_value}]"
-        )
-
-    one = 1 << fmt.frac_bits
-    lo_int = int(round_half_away(lo * one))
-    hi_int = int(round_half_away(hi * one))
-    span = hi_int - lo_int
-    if span < segments:
-        raise ParameterError("format too coarse: fewer grid points than segments")
-
-    knots = np.array(
-        [lo_int + (i * span + segments // 2) // segments for i in range(segments + 1)],
-        dtype=np.int64,
-    )
-    intercepts = round_half_away(np.sqrt(knots * fmt.ulp) * one)
-    widths = knots[1:] - knots[:-1]
-    # floor, not round: see class docstring
-    slopes = ((intercepts[1:] - intercepts[:-1]) << fmt.frac_bits) // widths
-
-    lut = SqrtLut(
-        lo=lo,
-        hi=hi,
-        segments=segments,
-        fmt=fmt,
-        knots=knots,
-        intercepts=intercepts.astype(np.int64),
-        slopes=slopes.astype(np.int64),
-        max_abs_error=0.0,
-    )
-    object.__setattr__(lut, "max_abs_error", _measure_lut_error(lut))
-    return lut
+    return SqrtLut(domain[0], domain[1], segments, fmt)
 
 
 # ---------------------------------------------------------------------------

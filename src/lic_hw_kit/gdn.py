@@ -220,11 +220,6 @@ def _quantize_params(params: GdnParams, formats: GdnStageFormats):
     return beta_q, gamma_q
 
 
-def _mac_headroom_ok(gamma_q, sq_max: int, channels: int) -> bool:
-    worst = int(np.max(np.abs(gamma_q))) * int(sq_max) * channels if channels else 0
-    return worst < (1 << 62)
-
-
 def _gamma_mac(gamma_q, sq):
     """Exact sum_j gamma_q[i, j] * sq[n, j, h, w] as int64, run on float64 BLAS.
 
@@ -232,15 +227,22 @@ def _gamma_mac(gamma_q, sq):
     bits with b = 53 - bit_length(max(gamma_q) * C), so every partial sum
     of every limb's GEMM is an integer below 2**53 and float64 holds it
     exactly whatever order BLAS adds in. Each limb's product is shifted
-    back into an int64 accumulator; _mac_headroom_ok bounds the total.
+    back into an int64 accumulator. A total that could reach 2**62
+    (max(gamma_q) * C * max(sq)) raises ParameterError before any product.
     A limb product is the float pool's contraction, so it shares the
     _channel_mix GEMM. numpy has no integer BLAS, so this beats an int64
     matmul or einsum.
     """
     c = sq.shape[1]
     bound = int(gamma_q.max()) * c if gamma_q.size else 0
+    sq_max = int(sq.max()) if sq.size else 0
+    if bound * sq_max >= 1 << 62:
+        raise ParameterError(
+            "gamma accumulate would overflow 64-bit intermediates; "
+            "use fewer fraction bits"
+        )
     b = 53 - bound.bit_length()
-    top = int(sq.max()).bit_length() if sq.size else 0
+    top = sq_max.bit_length()
     g = gamma_q.astype(np.float64)
     if top <= b:
         return _channel_mix(g, sq.astype(np.float64)).astype(np.int64)
@@ -317,11 +319,6 @@ def _fixed_block(x, beta_q, gamma_q, lut, formats, inverse, sat):
     sq, n = saturate_q(sq, f_sq)
     sat["square"] += n
 
-    if not _mac_headroom_ok(gamma_q, int(np.max(sq)) if sq.size else 0, sq.shape[1]):
-        raise ParameterError(
-            "gamma accumulate would overflow 64-bit intermediates; "
-            "use fewer fraction bits"
-        )
     acc = rshift_round(
         _gamma_mac(gamma_q, sq), formats.param.frac_bits + f_sq.frac_bits - f_acc.frac_bits
     )

@@ -45,11 +45,15 @@ class PatchGrid:
     patch: int
     stride: int
     origins: tuple  # ((row, col), ...) row-major
-    clamped: tuple  # parallel flags: True where an origin was clamped
 
     @property
     def count(self) -> int:
         return len(self.origins)
+
+    @property
+    def clamped(self) -> tuple:
+        """Per origin, True where it was clamped to the border: off the stride."""
+        return tuple(bool(r % self.stride or c % self.stride) for r, c in self.origins)
 
 
 def tile_to_resolution(image: Tensor, target_h: int = 720,
@@ -61,6 +65,8 @@ def tile_to_resolution(image: Tensor, target_h: int = 720,
     """
     if target_h < 1 or target_w < 1:
         raise ShapeError("target extents must be positive")
+    if image.h < 1 or image.w < 1:
+        raise ShapeError(f"cannot tile an image of extent {image.h}x{image.w}")
     reps_h = -(-target_h // image.h)
     reps_w = -(-target_w // image.w)
     tiled = np.tile(image.data, (1, 1, reps_h, reps_w))
@@ -71,11 +77,9 @@ def _axis_origins(extent: int, patch: int, stride: int):
     if patch > extent:
         raise ShapeError(f"patch {patch} exceeds image extent {extent}")
     origins = list(range(0, extent - patch + 1, stride))
-    clamped = [False] * len(origins)
     if origins[-1] + patch < extent:
         origins.append(extent - patch)
-        clamped.append(True)
-    return origins, clamped
+    return origins
 
 
 def extract_patches(image: Tensor, patch: int = 256, stride: int = 56):
@@ -92,16 +96,15 @@ def extract_patches(image: Tensor, patch: int = 256, stride: int = 56):
         )
     if patch < 1 or stride < 1:
         raise ShapeError("patch and stride must be positive")
-    rows, rflags = _axis_origins(image.h, patch, stride)
-    cols, cflags = _axis_origins(image.w, patch, stride)
+    rows = _axis_origins(image.h, patch, stride)
+    cols = _axis_origins(image.w, patch, stride)
     origins = tuple((r, c) for r in rows for c in cols)
-    clamped = tuple(rf or cf for rf in rflags for cf in cflags)
     stack = np.empty((len(origins), image.c, patch, patch), dtype=np.float32)
     for i, (r, c) in enumerate(origins):
         stack[i] = image.data[0, :, r:r + patch, c:c + patch]
     grid = PatchGrid(
         image_h=image.h, image_w=image.w, channels=image.c,
-        patch=patch, stride=stride, origins=origins, clamped=clamped,
+        patch=patch, stride=stride, origins=origins,
     )
     return Tensor._adopt(stack), grid
 
@@ -117,10 +120,6 @@ def reassemble(patches: Tensor, grid: PatchGrid) -> Tensor:
         raise ShapeError(
             f"patches have dims {patches.dims[1:]}, grid expects "
             f"({grid.channels}, {k}, {k})"
-        )
-    if len(grid.clamped) != grid.count:
-        raise ShapeError(
-            f"grid has {len(grid.clamped)} clamp flags for {grid.count} origins"
         )
     h, w = grid.image_h, grid.image_w
     diff = np.zeros((h + 1, w + 1), dtype=np.float64)

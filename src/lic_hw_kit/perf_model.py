@@ -15,6 +15,7 @@ number at face value.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from .errors import DomainError, ParameterError
@@ -112,6 +113,9 @@ def estimate_fps(cfg: DpuConfig, workload: WorkloadProfile) -> FpsEstimate:
     if not ops > 0:
         raise DomainError("workload must contain a positive operation count")
     t_compute = ops / effective_ops_per_s(cfg)
+    # a subnormal or zero time has no finite reciprocal fps
+    if not t_compute >= sys.float_info.min:
+        raise DomainError(f"compute time for {ops} ops underflows")
     return FpsEstimate(t_compute_s=t_compute, t_frame_s=t_compute,
                        fps=1.0 / t_compute)
 

@@ -24,6 +24,7 @@ across runs.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from math import ceil
@@ -203,6 +204,9 @@ def simulate(stages, patch_count: int, cfg: DpuConfig, mode: str,
     else:
         raise SimulationError(f"unknown mode {mode!r}")
 
+    # a subnormal or zero makespan gives no finite fps
+    if not makespan >= sys.float_info.min:
+        raise SimulationError(f"{mode} makespan underflows")
     frames = patch_count / patches_per_frame
     result = SimResult(
         mode=mode,

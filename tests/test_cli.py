@@ -131,6 +131,15 @@ def test_estimate_outputs_and_values(tmp_path):
     assert abs(by_name["student_touched"]["fps"] - 44.637) < 5e-3
 
 
+def test_estimate_time_underflow_exits_4(tmp_path, capsys):
+    cfg = write_json(tmp_path / "est.json",
+                     {"workloads": [{"name": "tiny", "gop": 5e-324}]})
+    assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert "underflows" in err
+    assert "Traceback" not in err
+
+
 def test_estimate_rejects_unknown_keys(tmp_path):
     cfg = write_json(tmp_path / "est.json",
                      {"workloads": WORKLOADS, "turbo": True})
@@ -180,6 +189,19 @@ def test_simulate_scenario_and_stages_conflict(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
     neither = write_json(tmp_path / "sim2.json", {"mode": "both"})
     assert main(["simulate", "--config", neither, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("extra", [{"mode": "pipelined"},
+                                   {"mode": "sequential", "launch_overhead_s": 0}])
+def test_simulate_makespan_underflow_exits_4(tmp_path, capsys, extra):
+    cfg = write_json(tmp_path / "sim.json", {
+        "stages": [{"name": "main_encoder", "compute_ops": 5e-324}],
+        "patch_count": 1, **extra,
+    })
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert "makespan underflows" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +337,20 @@ def test_tile_tensor_container(tmp_path, rng):
     out = tmp_path / "o"
     assert main(["tile", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "tiled.bin").exists()
+
+
+@pytest.mark.parametrize("name, blob", [
+    ("zero.ppm", b"P6\n0 0\n255\n"),
+    ("zero.tns", save_tensor(Tensor(np.zeros((1, 3, 0, 4), dtype=np.float32)))),
+], ids=["ppm", "tns"])
+def test_tile_zero_extent_image_exits_4(tmp_path, capsys, name, blob):
+    src = tmp_path / name
+    src.write_bytes(blob)
+    cfg = write_json(tmp_path / "tile.json", {"image": str(src)})
+    assert main(["tile", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert "cannot tile an image of extent" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

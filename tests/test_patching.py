@@ -88,6 +88,12 @@ def test_exact_fit_needs_no_clamp():
     assert not any(grid.clamped)
 
 
+@pytest.mark.parametrize("dims", [(1, 3, 0, 0), (1, 3, 0, 4), (1, 3, 4, 0)])
+def test_tile_rejects_zero_extent_image(dims):
+    with pytest.raises(ShapeError, match="cannot tile"):
+        tile_to_resolution(Tensor(np.zeros(dims, dtype=np.float32)), 8, 8)
+
+
 def test_patch_larger_than_image_rejected(rng):
     img = rand_tensor(rng, (1, 1, 100, 100))
     with pytest.raises(ShapeError):
@@ -170,11 +176,9 @@ def test_batched_input_rejected(rng):
         extract_patches(img, 256, 56)
 
 
-def grid_8x8(origins, clamped=None):
+def grid_8x8(origins):
     return PatchGrid(image_h=8, image_w=8, channels=1, patch=4, stride=4,
-                     origins=tuple(origins),
-                     clamped=tuple(clamped if clamped is not None
-                                   else [False] * len(origins)))
+                     origins=tuple(origins))
 
 
 QUAD = [(0, 0), (0, 4), (4, 0), (4, 4)]
@@ -193,13 +197,6 @@ def test_reassemble_rejects_non_integral_origin(bad):
     grid = grid_8x8(QUAD + [bad])
     patches = Tensor(np.ones((5, 1, 4, 4), dtype=np.float32))
     with pytest.raises(ShapeError, match="integers"):
-        reassemble(patches, grid)
-
-
-def test_reassemble_rejects_clamp_flags_not_parallel_to_origins():
-    grid = grid_8x8(QUAD, clamped=[False] * 3)
-    patches = Tensor(np.ones((4, 1, 4, 4), dtype=np.float32))
-    with pytest.raises(ShapeError, match="clamp flags"):
         reassemble(patches, grid)
 
 

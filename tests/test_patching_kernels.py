@@ -99,8 +99,9 @@ def check_against_oracle(x, patch, stride, seed):
     assert np.array_equal(patches.data, ref_patches)
     assert grid == PatchGrid(
         image_h=x.shape[2], image_w=x.shape[3], channels=x.shape[1],
-        patch=patch, stride=stride, origins=ref_origins, clamped=ref_clamped,
+        patch=patch, stride=stride, origins=ref_origins,
     )
+    assert grid.clamped == ref_clamped
     assert np.array_equal(reassemble(patches, grid).data, x)
     moved = perturb(ref_patches, seed)
     back = reassemble(Tensor(moved), grid)
@@ -136,7 +137,7 @@ def test_matches_oracles_with_and_without_clamping(ch, h, w, patch, stride, clam
 
 def hand_grid(origins, h, w, ch, patch):
     return PatchGrid(image_h=h, image_w=w, channels=ch, patch=patch, stride=1,
-                     origins=tuple(origins), clamped=(False,) * len(origins))
+                     origins=tuple(origins))
 
 
 def brute_force_check(origins, h, w, ch, patch, seed):

@@ -78,6 +78,14 @@ def test_zero_workload_rejected():
         estimate_fps(DpuConfig(), WorkloadProfile.from_gop({"total": 0.0}))
 
 
+@pytest.mark.parametrize("gop", [5e-324, 1e-310])
+def test_compute_time_underflow_rejected(gop):
+    # positive ops whose modelled time is 0.0 s or subnormal: 1 / t would
+    # divide by zero or overflow to inf fps
+    with pytest.raises(DomainError, match="underflows"):
+        estimate_fps(DpuConfig(), WorkloadProfile.from_gop({"tiny": gop}))
+
+
 # ---------------------------------------------------------------------------
 # Bandwidth
 # ---------------------------------------------------------------------------

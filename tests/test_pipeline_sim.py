@@ -215,3 +215,12 @@ def test_simulate_validation():
         simulate(stages, 10, DpuConfig(), "sequential", launch_overhead_s=-1.0)
     with pytest.raises(SimulationError):
         simulate(stages, 10, DpuConfig(), "pipelined", patches_per_frame=0)
+
+
+@pytest.mark.parametrize("ops", [5e-324, 1e-300])
+@pytest.mark.parametrize("mode", ["pipelined", "sequential"])
+def test_makespan_underflow_rejected(mode, ops):
+    # a positive stage cost whose modelled time is 0.0 s or subnormal
+    stages = [StageSpec("main_encoder", compute_ops=ops)]
+    with pytest.raises(SimulationError, match="underflows"):
+        simulate(stages, 1, DpuConfig(), mode, launch_overhead_s=0.0)
