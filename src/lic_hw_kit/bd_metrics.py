@@ -92,14 +92,17 @@ def bd_metrics(a: RdCurve, b: RdCurve) -> BdResult:
     )
 
 
-def read_rd_csv(text: str) -> RdCurve:
-    """Parse a curve from CSV with a bpp,psnr_db header row."""
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or \
-            {"bpp", "psnr_db"} - set(reader.fieldnames):
-        raise CurveError("curve csv needs 'bpp' and 'psnr_db' columns")
+def read_rd_csv(text) -> RdCurve:
+    """Parse a curve from CSV with a bpp,psnr_db header row, given as
+    text or as UTF-8 bytes."""
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        reader = csv.DictReader(io.StringIO(text))
+        if reader.fieldnames is None or \
+                {"bpp", "psnr_db"} - set(reader.fieldnames):
+            raise CurveError("curve csv needs 'bpp' and 'psnr_db' columns")
         pts = [(float(row["bpp"]), float(row["psnr_db"])) for row in reader]
-    except (TypeError, ValueError) as e:
-        raise CurveError(f"curve csv holds a non-numeric cell: {e}") from e
+    except (TypeError, ValueError, csv.Error) as e:
+        raise CurveError(f"curve csv cannot be read: {e}") from e
     return RdCurve(pts)

@@ -251,8 +251,8 @@ def _load_config(path: str, schema_name: str) -> dict:
     if not p.is_file():
         raise MissingInputError(f"config file not found: {path}")
     try:
-        cfg = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
+        cfg = json.loads(p.read_bytes())
+    except ValueError as e:  # bad UTF-8, bad JSON or an over-long integer
         raise ConfigError(f"config is not valid JSON: {e}") from e
     try:
         jsonschema.validate(cfg, SCHEMAS[schema_name])
@@ -369,7 +369,10 @@ def read_ppm(buf: bytes) -> Tensor:
     raw = buf[pos:pos + need]
     if len(raw) < need:
         raise TruncatedPayloadError("ppm pixel data truncated")
-    arr = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
+    try:
+        arr = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
+    except ValueError as e:  # a zero width with a height numpy cannot index
+        raise MalformedHeaderError(f"ppm extent {w}x{h} is too large: {e}") from e
     return Tensor(arr.transpose(2, 0, 1)[None].astype(np.float32))
 
 
@@ -521,8 +524,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bd_metrics(args) -> int:
-    curve_a = read_rd_csv(_read_bytes(args.curve_a).decode("utf-8"))
-    curve_b = read_rd_csv(_read_bytes(args.curve_b).decode("utf-8"))
+    curve_a = read_rd_csv(_read_bytes(args.curve_a))
+    curve_b = read_rd_csv(_read_bytes(args.curve_b))
     res = compute_bd_metrics(curve_a, curve_b)
     row = {
         "bd_rate_percent": res.bd_rate_percent,

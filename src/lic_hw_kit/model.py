@@ -29,6 +29,7 @@ __all__ = [
     "LAYER_KINDS",
     "MODEL_ROLES",
     "layer_output_dims",
+    "layer_extents",
     "conv2d_forward",
     "deconv2d_forward",
     "relu_forward",
@@ -47,16 +48,24 @@ MODEL_ROLES = (
 )
 
 
-def integral_bits(value) -> int:
-    """value as an int bit width: integral numbers pass (8 and 8.0 alike);
-    anything else, such as 8.5, "8" or None, raises ParameterError."""
+def integral_bits(value, name: str = "bit widths") -> int:
+    """value as an int: integral numbers pass (8 and 8.0 alike); anything
+    else, such as 8.5, "8", NaN or None, raises ParameterError naming
+    what value was meant to be."""
     try:
-        bits = int(value)
+        n = int(value)
     except (TypeError, ValueError, OverflowError):
-        bits = None
-    if bits is None or bits != value:
-        raise ParameterError(f"bit widths must be integers; got {value!r}")
-    return bits
+        n = None
+    if n is None or n != value:
+        raise ParameterError(f"{name} must be integers; got {value!r}")
+    return n
+
+
+def _layer_size(value, field: str, least: int) -> int:
+    n = integral_bits(value, f"layer sizes ({field})")
+    if n < least:
+        raise ParameterError(f"{field} must be >= {least}; got {n}")
+    return n
 
 
 def _frozen(arr, dtype):
@@ -85,64 +94,53 @@ class LayerSpec:
     gdn_params: GdnParams | None = None
 
     def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
-            raise ParameterError(f"unknown layer kind {self.kind!r}")
-        if self.in_channels < 1 or self.out_channels < 1:
-            raise ParameterError("channel counts must be positive")
-        if self.kernel < 1 or self.stride < 1 or self.padding < 0:
-            raise ParameterError("kernel/stride must be >= 1 and padding >= 0")
-
-        if self.kind in ("conv", "deconv"):
+        for f, least in (("in_channels", 1), ("out_channels", 1), ("kernel", 1),
+                         ("stride", 1), ("padding", 0)):
+            object.__setattr__(self, f, _layer_size(getattr(self, f), f, least))
+        shapes = self.tensor_shapes(self.kind, self.in_channels,
+                                    self.out_channels, self.kernel)
+        if "weights" in shapes:
             if self.weights is None:
                 raise ParameterError(f"{self.kind} layer needs weights")
             w = _frozen(self.weights, np.float32)
-            expect = (self.out_channels, self.in_channels, self.kernel, self.kernel)
-            if w.shape != expect:
-                raise ShapeError(
-                    f"{self.kind} weights must have shape {expect}; got {w.shape}"
-                )
-            b = (np.zeros(self.out_channels, dtype=np.float32)
-                 if self.bias is None else np.asarray(self.bias, dtype=np.float32))
-            if b.shape != (self.out_channels,):
-                raise ShapeError(
-                    f"bias must have shape ({self.out_channels},); got {b.shape}"
-                )
+            # a default bias sized from the weights, not from out_channels,
+            # so a huge out_channels fails the shape check, not an allocation
+            b = _frozen(np.zeros(w.shape[:1]) if self.bias is None else self.bias,
+                        np.float32)
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ParameterError(f"{self.kind} weights and bias must be finite")
             object.__setattr__(self, "weights", w)
-            object.__setattr__(self, "bias", _frozen(b, np.float32))
-            if self.gdn_params is not None:
-                raise ParameterError(f"{self.kind} layer does not take gdn params")
-        elif self.kind in ("gdn", "igdn"):
-            if self.in_channels != self.out_channels:
-                raise ShapeError(f"{self.kind} preserves channel count")
-            if self.gdn_params is None:
-                raise ParameterError(f"{self.kind} layer needs gdn params")
-            if self.gdn_params.channels != self.in_channels:
-                raise ShapeError(
-                    f"gdn params cover {self.gdn_params.channels} channels, "
-                    f"layer declares {self.in_channels}"
-                )
-            if self.weights is not None or self.bias is not None:
-                raise ParameterError(f"{self.kind} layer does not take weights")
-        else:  # relu
-            if self.in_channels != self.out_channels:
-                raise ShapeError("relu preserves channel count")
-            if self.weights is not None or self.bias is not None:
-                raise ParameterError("relu layer does not take weights")
+            object.__setattr__(self, "bias", b)
+        elif self.weights is not None or self.bias is not None:
+            raise ParameterError(f"{self.kind} layer does not take weights")
+        if ("beta" in shapes) != (self.gdn_params is not None):
+            need = "needs" if "beta" in shapes else "does not take"
+            raise ParameterError(f"{self.kind} layer {need} gdn params")
+        for role, arr in self.tensors().items():
+            if arr.shape != shapes[role]:
+                raise ShapeError(f"{self.kind} {role} must have shape "
+                                 f"{shapes[role]}; got {arr.shape}")
 
     @staticmethod
     def tensor_shapes(kind: str, in_channels: int, out_channels: int,
                       kernel: int = 1) -> dict:
         """{role: shape} of the tensors a layer of this kind carries, in
-        the order tensors() lists them; containers size their payload
-        sections from it before the layer exists."""
+        the order tensors() lists them. It checks the kind, that the
+        sizes are integers >= 1 and that a gdn, igdn or relu layer keeps
+        its channel count; containers size their payload sections from
+        it before the layer exists, and LayerSpec checks its tensors
+        against it."""
+        if kind not in LAYER_KINDS:
+            raise ParameterError(f"unknown layer kind {kind!r}")
+        c_in = _layer_size(in_channels, "in_channels", 1)
+        c_out = _layer_size(out_channels, "out_channels", 1)
+        k = _layer_size(kernel, "kernel", 1)
         if kind in ("conv", "deconv"):
-            return {"weights": (out_channels, in_channels, kernel, kernel),
-                    "bias": (out_channels,)}
+            return {"weights": (c_out, c_in, k, k), "bias": (c_out,)}
+        if c_in != c_out:
+            raise ShapeError(f"{kind} preserves channel count")
         if kind in ("gdn", "igdn"):
-            return {"beta": (out_channels,),
-                    "gamma": (out_channels, out_channels)}
+            return {"beta": (c_out,), "gamma": (c_out, c_out)}
         return {}
 
     def tensors(self) -> dict:
@@ -234,25 +232,28 @@ class ModelSpec:
 
 def layer_output_dims(layer: LayerSpec, h: int, w: int):
     """Spatial extents after the layer."""
+    k, s, p = layer.kernel, layer.stride, layer.padding
     if layer.kind == "conv":
-        k, s, p = layer.kernel, layer.stride, layer.padding
-        oh = (h + 2 * p - k) // s + 1
-        ow = (w + 2 * p - k) // s + 1
-        if oh < 1 or ow < 1:
-            raise ShapeError(
-                f"conv reduces {h}x{w} below 1x1 (kernel {k}, stride {s}, pad {p})"
-            )
-        return oh, ow
-    if layer.kind == "deconv":
-        k, s, p = layer.kernel, layer.stride, layer.padding
-        oh = (h - 1) * s - 2 * p + k
-        ow = (w - 1) * s - 2 * p + k
-        if oh < 1 or ow < 1:
-            raise ShapeError(
-                f"deconv maps {h}x{w} below 1x1 (kernel {k}, stride {s}, pad {p})"
-            )
-        return oh, ow
-    return h, w
+        oh, ow = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+    elif layer.kind == "deconv":
+        oh, ow = (h - 1) * s - 2 * p + k, (w - 1) * s - 2 * p + k
+    else:
+        return h, w
+    if oh < 1 or ow < 1:
+        raise ShapeError(f"{layer.kind} maps {h}x{w} below 1x1 "
+                         f"(kernel {k}, stride {s}, pad {p})")
+    return oh, ow
+
+
+def layer_extents(model: ModelSpec, input_hw):
+    """Yield (layer, (h_in, w_in), (h_out, w_out)) for each layer of the
+    stack, for one image of extent input_hw. Op counts and traffic read
+    their extents from this walk."""
+    hw = (int(input_hw[0]), int(input_hw[1]))
+    for layer in model.layers:
+        out = layer_output_dims(layer, *hw)
+        yield layer, hw, out
+        hw = out
 
 
 def _tap_weights(layer: LayerSpec) -> np.ndarray:
@@ -397,19 +398,16 @@ def flops_of(model: ModelSpec, input_hw) -> FlopsReport:
     2*H*W*C^2 for the pairwise pool plus 5*H*W*C for square, offset,
     root, divide, and scale. relu: one op per element.
     """
-    h, w = int(input_hw[0]), int(input_hw[1])
     per_layer = []
-    for layer in model.layers:
-        oh, ow = layer_output_dims(layer, h, w)
-        if layer.kind in ("conv", "deconv"):
-            mac_h, mac_w = (oh, ow) if layer.kind == "conv" else (h, w)
-            ops = 2 * mac_h * mac_w * layer.in_channels * layer.out_channels \
-                * layer.kernel ** 2
+    for layer, (h, w), (oh, ow) in layer_extents(model, input_hw):
+        c_in, c_out = layer.in_channels, layer.out_channels
+        if layer.kind == "conv":
+            ops = 2 * oh * ow * c_in * c_out * layer.kernel ** 2
+        elif layer.kind == "deconv":
+            ops = 2 * h * w * c_in * c_out * layer.kernel ** 2
         elif layer.kind in ("gdn", "igdn"):
-            c = layer.out_channels
-            ops = 2 * oh * ow * c * c + 5 * oh * ow * c
+            ops = 2 * oh * ow * c_out * c_out + 5 * oh * ow * c_out
         else:
-            ops = oh * ow * layer.out_channels
-        per_layer.append(int(ops))
-        h, w = oh, ow
-    return FlopsReport(per_layer=per_layer, total=int(sum(per_layer)))
+            ops = oh * ow * c_out
+        per_layer.append(ops)
+    return FlopsReport(per_layer=per_layer, total=sum(per_layer))

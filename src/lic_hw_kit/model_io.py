@@ -17,6 +17,7 @@ float model alongside the raw integer payloads.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import (
     TruncatedPayloadError,
     VersionMismatchError,
 )
-from .model import LayerSpec, ModelSpec
+from .model import LayerSpec, ModelSpec, integral_bits
 from .quantizer import (
     QuantizedModel,
     QuantParams,
@@ -79,7 +80,7 @@ def _unpack(buf: bytes, magic: bytes):
         raise TruncatedPayloadError("header extends past end of buffer")
     try:
         header = json.loads(buf[off:off + head_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except ValueError as e:  # bad UTF-8, bad JSON or an over-long integer
         raise MalformedHeaderError(f"header is not valid JSON: {e}") from e
     if not isinstance(header, dict):
         raise MalformedHeaderError("header must be a JSON object")
@@ -93,7 +94,7 @@ def _read_sections(buf: bytes, off: int, shapes_dtypes):
             raise TruncatedPayloadError("missing payload length prefix")
         (nbytes,) = _LEN.unpack_from(buf, off)
         off += _LEN.size
-        expect = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
+        expect = math.prod(shape) * np.dtype(dtype).itemsize
         if nbytes != expect:
             raise MalformedHeaderError(
                 f"payload declares {nbytes} bytes where layout needs {expect}"
@@ -209,7 +210,8 @@ def load_quantized_model(buf: bytes):
                                                          payloads))
                   for li, (entry, table) in enumerate(zip(entries, shapes))]
         model = _model_from(header, layers)
-        activation_params = {int(a["layer"]): _quant_params(a)
+        activation_params = {integral_bits(a["layer"], "activation layers"):
+                             _quant_params(a)
                              for a in header["quant"]["activations"]}
         return QuantizedModel(
             model=model,

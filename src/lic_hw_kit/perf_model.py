@@ -15,11 +15,12 @@ number at face value.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 
 from .errors import DomainError, ParameterError
-from .model import ModelSpec, flops_of, layer_output_dims
+from .model import ModelSpec, flops_of, layer_extents
 
 __all__ = [
     "DpuConfig",
@@ -116,6 +117,8 @@ def estimate_fps(cfg: DpuConfig, workload: WorkloadProfile) -> FpsEstimate:
     # a subnormal or zero time has no finite reciprocal fps
     if not t_compute >= sys.float_info.min:
         raise DomainError(f"compute time for {ops} ops underflows")
+    if not math.isfinite(t_compute):
+        raise DomainError(f"compute time for {ops} ops is not finite")
     return FpsEstimate(t_compute_s=t_compute, t_frame_s=t_compute,
                        fps=1.0 / t_compute)
 
@@ -159,16 +162,14 @@ def bandwidth_load(layers) -> tuple:
 
 def traffic_of_model(model: ModelSpec, input_hw, default_bits: int = 8):
     """LayerTraffic rows for a model's conv/deconv layers."""
-    h, w = int(input_hw[0]), int(input_hw[1])
     rows = []
-    for li, layer in enumerate(model.layers):
-        bits = (model.bit_widths[li] if model.bit_widths is not None
-                else default_bits)
-        if layer.kind in ("conv", "deconv"):
+    for li, (layer, (h, w), _) in enumerate(layer_extents(model, input_hw)):
+        if layer.weights is not None:
+            bits = (model.bit_widths[li] if model.bit_widths is not None
+                    else default_bits)
             rows.append(LayerTraffic(h=h, w=w, n_in=layer.in_channels,
                                      n_out=layer.out_channels,
                                      kernel=layer.kernel, bits=bits))
-        h, w = layer_output_dims(layer, h, w)
     return rows
 
 

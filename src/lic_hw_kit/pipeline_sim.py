@@ -24,6 +24,7 @@ across runs.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
@@ -208,9 +209,15 @@ def simulate(stages, patch_count: int, cfg: DpuConfig, mode: str,
     if not makespan >= sys.float_info.min:
         raise SimulationError(f"{mode} makespan underflows")
     frames = patch_count / patches_per_frame
+    fps = frames / makespan
+    if not (math.isfinite(makespan) and math.isfinite(bytes_moved)
+            and 0 < fps < math.inf):
+        raise SimulationError(
+            f"{mode} schedule gives a makespan of {makespan} s, {bytes_moved} "
+            f"bytes moved and {fps} fps; all must be finite and fps > 0")
     result = SimResult(
         mode=mode,
-        fps=frames / makespan,
+        fps=fps,
         makespan_s=makespan,
         frames=frames,
         cores=cfg.cores,

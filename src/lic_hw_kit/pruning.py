@@ -85,7 +85,7 @@ class PruneReport:
 
 def filter_l2_norms(layer: LayerSpec) -> np.ndarray:
     """L2 norm of each output filter's weights (bias excluded)."""
-    if layer.kind not in ("conv", "deconv"):
+    if layer.weights is None:
         raise ParameterError(f"{layer.kind} layer has no filters to rank")
     w = layer.weights.astype(np.float64)
     return np.sqrt((w ** 2).reshape(w.shape[0], -1).sum(axis=1))
@@ -94,8 +94,7 @@ def filter_l2_norms(layer: LayerSpec) -> np.ndarray:
 def prunable_layer_indices(model: ModelSpec) -> list:
     """conv/deconv layers minus the final one (its output shape is the
     module interface and must survive)."""
-    convs = [i for i, l in enumerate(model.layers) if l.kind in ("conv", "deconv")]
-    return convs[:-1]
+    return [i for i, l in enumerate(model.layers) if l.weights is not None][:-1]
 
 
 def _apply_keeps(model: ModelSpec, keep_out: dict) -> ModelSpec:
@@ -109,9 +108,9 @@ def _apply_keeps(model: ModelSpec, keep_out: dict) -> ModelSpec:
     layers = []
     keep_in = np.arange(model.layers[0].in_channels) if model.layers else None
     for li, layer in enumerate(model.layers):
-        if layer.kind in ("conv", "deconv"):
+        if layer.weights is not None:
             keep = keep_out.get(li, np.arange(layer.out_channels))
-        else:  # gdn, igdn and relu pass their input channels through
+        else:  # layers without filters pass their input channels through
             keep = keep_in
         tensors = {role: t[np.ix_(keep, keep_in)] if t.ndim > 1 else t[keep]
                    for role, t in layer.tensors().items()}

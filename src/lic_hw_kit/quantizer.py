@@ -10,6 +10,7 @@ the stack), which the precision policy encodes.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,6 +121,11 @@ class QuantParams:
         object.__setattr__(self, "bits", _check_bits(self.bits))
         if not self.scale > 0:
             raise ParameterError("scale must be strictly positive")
+        # dequantize multiplies payloads up to qmax by the scale; the
+        # comparison is exact for an int scale too large for a float
+        if not self.scale * self.qmax <= sys.float_info.max:
+            raise ParameterError(
+                f"scale {self.scale!r} times qmax {self.qmax} is not finite")
 
     @property
     def qmax(self) -> int:
@@ -202,7 +208,7 @@ class PrecisionPolicy:
     def resolve(self, layer_index: int, layer) -> int:
         if layer_index in self.overrides:
             return self.overrides[layer_index]
-        if layer is not None and layer.kind in ("gdn", "igdn"):
+        if layer is not None and layer.gdn_params is not None:
             return self.gdn_bits
         return self.default_bits
 

@@ -9,6 +9,7 @@ deep inside some kernel.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -116,7 +117,7 @@ def load_tensor(buf: bytes) -> Tensor:
             f"tensor header needs {_HEADER.size} bytes, got {len(buf)}"
         )
     dims = _HEADER.unpack_from(buf)
-    expected = 4 * int(np.prod([max(d, 0) for d in dims], dtype=np.int64))
+    expected = 4 * math.prod(dims)
     body = buf[_HEADER.size:]
     if len(body) < expected:
         raise TruncatedPayloadError(
@@ -126,4 +127,8 @@ def load_tensor(buf: bytes) -> Tensor:
         raise MalformedHeaderError(
             f"{len(body) - expected} trailing bytes after tensor payload"
         )
-    return Tensor(np.frombuffer(body, dtype="<f4").reshape(dims))
+    try:
+        data = np.frombuffer(body, dtype="<f4").reshape(dims)
+    except ValueError as e:  # a zero extent beside extents numpy cannot index
+        raise MalformedHeaderError(f"tensor dims {dims} are too large: {e}") from e
+    return Tensor(data)

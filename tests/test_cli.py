@@ -441,3 +441,93 @@ def test_bad_bit_widths_in_container_exit_4(tmp_path, model_file, capsys,
     err = capsys.readouterr().err
     assert "bit widths must be integers" in err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# Malformed inputs end in a documented exit code and a one-line error
+# ---------------------------------------------------------------------------
+
+
+def _run_fails(argv, capsys, code=4):
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("kernel", "x", "layer sizes (kernel) must be integers"),
+    ("out_channels", 2 ** 64, "payload declares"),
+    ("stride", float("nan"), "layer sizes (stride) must be integers"),
+    ("padding", 0.5, "layer sizes (padding) must be integers"),
+])
+def test_prune_malformed_layer_size_exits_4(tmp_path, capsys, model_file,
+                                            field, value, message):
+    blob = model_file[0].read_bytes()
+    magic, version, head_len = struct.unpack_from("<4sIQ", blob)
+    header = json.loads(blob[16:16 + head_len])
+    header["layers"][0][field] = value
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(struct.pack("<4sIQ", magic, version, len(head)) + head
+                    + blob[16 + head_len:])
+    cfg = write_json(tmp_path / "prune.json",
+                     {"model": str(bad), "input_hw": [16, 16]})
+    err = _run_fails(["prune", "--config", cfg, "--out", str(tmp_path / "o")],
+                     capsys)
+    assert message in err
+
+
+def test_tile_tensor_whose_size_wraps_int64_exits_4(tmp_path, capsys):
+    src = tmp_path / "huge.tns"
+    src.write_bytes(struct.pack("<4I", 65536, 65536, 65536, 65536))
+    cfg = write_json(tmp_path / "tile.json", {"image": str(src)})
+    err = _run_fails(["tile", "--config", cfg, "--out", str(tmp_path / "o")],
+                     capsys)
+    assert "needs 73786976294838206464 bytes, got 0" in err
+
+
+def test_estimate_overflowing_time_exits_4(tmp_path, capsys):
+    cfg = write_json(tmp_path / "est.json",
+                     {"workloads": [{"name": "huge", "gop": 1e300}]})
+    err = _run_fails(["estimate", "--config", cfg, "--out", str(tmp_path / "o")],
+                     capsys)
+    assert "is not finite" in err
+    assert not (tmp_path / "o" / "estimate_report.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["sequential", "both"])
+def test_simulate_overflowing_spill_exits_4(tmp_path, capsys, mode):
+    cfg = write_json(tmp_path / "sim.json", {
+        "stages": [{"name": "main_encoder", "compute_ops": 1e9,
+                    "intermediate_bytes": 1e308},
+                   {"name": "hyper_encoder", "compute_ops": 1e9}],
+        "patch_count": 1000, "mode": mode,
+    })
+    err = _run_fails(["simulate", "--config", cfg, "--out", str(tmp_path / "o")],
+                     capsys)
+    assert "all must be finite and fps > 0" in err
+    assert not (tmp_path / "o" / "sim_report.json").exists()
+
+
+@pytest.mark.parametrize("raw", [
+    b"bpp,psnr_db\n0.1,30\r0.2,31\n0.3,32\n0.4,33\n",
+    b"bpp,psnr_db\n0.1,30\n\xff0.2,31\n0.3,32\n0.4,33\n",
+], ids=["lone-cr", "0xff"])
+def test_bd_metrics_unreadable_curve_exits_4(tmp_path, capsys, raw):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(raw)
+    good = write_curve(tmp_path / "good.csv",
+                       [(0.1, 30.0), (0.2, 32.0), (0.4, 34.0), (0.8, 36.0)])
+    err = _run_fails(["bd-metrics", str(bad), good, "--out", str(tmp_path)],
+                     capsys)
+    assert "curve csv cannot be read" in err
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "est.json"
+    cfg.write_bytes(b'{"workloads": [{"name": "\xff", "gop": 1}]}')
+    err = _run_fails(["estimate", "--config", str(cfg), "--out", str(tmp_path)],
+                     capsys, code=2)
+    assert "config is not valid JSON" in err

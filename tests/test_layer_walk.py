@@ -1,0 +1,115 @@
+"""The one extent walk and the one layer-size table in model.py."""
+
+import numpy as np
+import pytest
+
+from lic_hw_kit import (
+    GdnParams,
+    LayerSpec,
+    ModelSpec,
+    ParameterError,
+    ShapeError,
+    model_forward,
+    traffic_of_model,
+)
+from lic_hw_kit.model import layer_extents
+from conftest import make_conv, make_gdn, rand_tensor
+
+_CONV_GEOMETRY = [(k, s, p) for k in (1, 3, 5) for s in (1, 2) for p in (0, 1, 2)]
+
+
+def _under_test(kind, k, s, p, rng):
+    if kind in ("conv", "deconv"):
+        return make_conv(4, 3, k=k, s=s, p=p, rng=rng, kind=kind)
+    if kind == "relu":
+        return LayerSpec(kind="relu", in_channels=4, out_channels=4)
+    return make_gdn(4, kind=kind, rng=rng)
+
+
+@pytest.mark.parametrize("kind, k, s, p",
+                         [(kind, *g) for kind in ("conv", "deconv")
+                          for g in _CONV_GEOMETRY]
+                         + [(kind, 1, 1, 0) for kind in ("gdn", "igdn", "relu")])
+def test_walk_extents_match_forward_and_traffic(rng, kind, k, s, p):
+    # a strided conv first, so the layer under test sees a changed extent
+    model = ModelSpec(name="walk", role="main_encoder",
+                      layers=[make_conv(3, 4, k=3, s=2, p=1, rng=rng),
+                              _under_test(kind, k, s, p, rng)])
+    x = rand_tensor(rng, (1, 3, 13, 10))
+    seen = [(x.h, x.w)]
+    model_forward(model, x,
+                  on_layer=lambda i, layer, out: seen.append((out.h, out.w)))
+    walk = list(layer_extents(model, (x.h, x.w)))
+    assert [layer for layer, _, _ in walk] == model.layers
+    assert [hw_in for _, hw_in, _ in walk] == seen[:-1]
+    assert [hw_out for _, _, hw_out in walk] == seen[1:]
+
+    rows = traffic_of_model(model, (x.h, x.w))
+    weighted = [i for i, layer in enumerate(model.layers)
+                if layer.weights is not None]
+    assert [(r.h, r.w) for r in rows] == [seen[i] for i in weighted]
+
+
+def test_walk_names_the_layer_that_collapses(rng):
+    model = ModelSpec(name="walk", role="main_encoder",
+                      layers=[make_conv(3, 4, k=3, s=2, p=0, rng=rng)])
+    with pytest.raises(ShapeError, match="conv maps 2x9 below 1x1"):
+        list(layer_extents(model, (2, 9)))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("stride", float("nan")), ("stride", 1.5), ("padding", 0.5),
+    ("kernel", "3"), ("in_channels", None), ("out_channels", float("inf")),
+])
+def test_layer_sizes_must_be_integers(rng, field, value):
+    sizes = {"in_channels": 3, "out_channels": 4, "kernel": 3, "stride": 1,
+             "padding": 1}
+    good = make_conv(3, 4, rng=rng)
+    with pytest.raises(ParameterError, match=f"layer sizes \\({field}\\)"):
+        LayerSpec(kind="conv", **{**sizes, field: value},
+                  weights=good.weights, bias=good.bias)
+
+
+def test_layer_sizes_are_stored_as_python_ints(rng):
+    good = make_conv(3, 4, rng=rng)
+    layer = LayerSpec(kind="conv", in_channels=np.int64(3), out_channels=4.0,
+                      kernel=3.0, stride=np.float32(2), padding=np.int8(1),
+                      weights=good.weights, bias=good.bias)
+    for f in ("in_channels", "out_channels", "kernel", "stride", "padding"):
+        assert type(getattr(layer, f)) is int
+    assert layer.scalars() == {"kind": "conv", "in_channels": 3,
+                               "out_channels": 4, "kernel": 3, "stride": 2,
+                               "padding": 1}
+
+
+@pytest.mark.parametrize("args, error", [
+    (("warp", 3, 3, 1), ParameterError),
+    (("conv", 0, 3, 1), ParameterError),
+    (("conv", 3, 3, 0.5), ParameterError),
+    (("gdn", 3, 4, 1), ShapeError),
+    (("relu", 3, 4, 1), ShapeError),
+])
+def test_tensor_shapes_checks_kind_and_sizes(args, error):
+    with pytest.raises(error):
+        LayerSpec.tensor_shapes(*args)
+
+
+_W = np.zeros((4, 4, 1, 1), dtype=np.float32)
+_GDN = GdnParams(beta=np.ones(4), gamma=np.zeros((4, 4)))
+
+
+@pytest.mark.parametrize("kind, tensors, error, message", [
+    ("relu", {"bias": np.zeros(4)}, ParameterError, "relu layer does not take weights"),
+    ("gdn", {"gdn_params": _GDN, "weights": _W}, ParameterError,
+     "gdn layer does not take weights"),
+    ("conv", {"weights": _W, "gdn_params": _GDN}, ParameterError,
+     "conv layer does not take gdn params"),
+    ("conv", {"bias": np.zeros(4)}, ParameterError, "conv layer needs weights"),
+    ("igdn", {}, ParameterError, "igdn layer needs gdn params"),
+    ("conv", {"weights": _W, "bias": np.zeros(3)}, ShapeError,
+     "conv bias must have shape"),
+    ("deconv", {"weights": _W[:, :3]}, ShapeError, "deconv weights must have shape"),
+])
+def test_layer_carries_exactly_its_kinds_tensors(kind, tensors, error, message):
+    with pytest.raises(error, match=message):
+        LayerSpec(kind=kind, in_channels=4, out_channels=4, **tensors)
