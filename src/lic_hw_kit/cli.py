@@ -32,6 +32,7 @@ from .errors import (
     MissingInputError,
     ToolkitError,
     TruncatedPayloadError,
+    integral_bits,
 )
 from .gdn import GdnParams, GdnStageFormats, gdn_error_report
 from .kd_loss import KdWeights, PhaseSchedule, kd_loss, plateau_scheduler
@@ -542,14 +543,18 @@ def cmd_bd_metrics(args) -> int:
 
 def cmd_gdn_bench(args) -> int:
     cfg = _load_config(args.config, "gdn-bench")
-    channels = cfg.get("channels", 8)
-    samples = cfg.get("samples", 1000)
-    seed = cfg.get("seed", 1234)
+    channels = integral_bits(cfg.get("channels", 8), "channels")
+    samples = integral_bits(cfg.get("samples", 1000), "samples")
+    seed = integral_bits(cfg.get("seed", 1234), "seed")
     low, high = cfg.get("low", -8.0), cfg.get("high", 8.0)
     beta_lo, beta_hi = cfg.get("beta_range", [1.0, 2.0])
     gamma_scale = cfg.get("gamma_scale", 0.1)
-    widths = cfg.get("total_bits", [32, 16, 8])
+    widths = [integral_bits(b) for b in cfg.get("total_bits", [32, 16, 8])]
     inverse = cfg.get("inverse", False)
+    f32_max = float(np.finfo(np.float32).max)
+    if not (-f32_max <= low <= high <= f32_max and beta_lo <= beta_hi):
+        raise ConfigError("gdn-bench needs low <= high within float32 range "
+                          "and beta_range ascending")
 
     rng = np.random.default_rng(seed)
     params = GdnParams(

@@ -17,6 +17,19 @@ class ParameterError(ToolkitError):
     """Layer or kernel parameters violate a structural constraint."""
 
 
+def integral_bits(value, name: str = "bit widths") -> int:
+    """value as an int: integral numbers pass (8 and 8.0 alike); anything
+    else, such as 8.5, "8", NaN or None, raises ParameterError naming
+    what value was meant to be."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise ParameterError(f"{name} must be integers; got {value!r}")
+    return n
+
+
 class CalibrationError(ToolkitError):
     """Calibration statistics are missing, empty, or inconsistent."""
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, ShapeError
+from .errors import DomainError, ParameterError, ShapeError, integral_bits
 
 __all__ = [
     "FixedPointFormat",
@@ -49,6 +49,8 @@ class FixedPointFormat:
     frac_bits: int
 
     def __post_init__(self):
+        for name in ("total_bits", "frac_bits"):
+            object.__setattr__(self, name, integral_bits(getattr(self, name), name))
         if self.total_bits not in _ALLOWED_TOTALS:
             raise ParameterError(f"total_bits must be one of {_ALLOWED_TOTALS}")
         if not 0 <= self.frac_bits < self.total_bits:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, ShapeError
+from .errors import DomainError, ParameterError, ShapeError, integral_bits
 from .tensor import Tensor
 
 __all__ = [
@@ -61,6 +61,8 @@ class PhaseSchedule:
     max_phase_steps: int = 250_000
 
     def __post_init__(self):
+        for name in ("plateau_window", "max_phase_steps"):
+            object.__setattr__(self, name, integral_bits(getattr(self, name), name))
         if self.plateau_window < 2:
             raise ParameterError("plateau_window must be >= 2")
         if not self.plateau_threshold > 0:

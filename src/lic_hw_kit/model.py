@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, ToolkitError
+from .errors import ParameterError, ShapeError, ToolkitError, integral_bits
 from .gdn import GdnParams, gdn_float, igdn_float
 from .tensor import Tensor
 
@@ -46,19 +46,6 @@ MODEL_ROLES = (
     "hyper_decoder",
     "entropy_params",
 )
-
-
-def integral_bits(value, name: str = "bit widths") -> int:
-    """value as an int: integral numbers pass (8 and 8.0 alike); anything
-    else, such as 8.5, "8", NaN or None, raises ParameterError naming
-    what value was meant to be."""
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or n != value:
-        raise ParameterError(f"{name} must be integers; got {value!r}")
-    return n
 
 
 def _layer_size(value, field: str, least: int) -> int:

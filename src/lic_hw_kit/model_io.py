@@ -26,8 +26,9 @@ from .errors import (
     MalformedHeaderError,
     TruncatedPayloadError,
     VersionMismatchError,
+    integral_bits,
 )
-from .model import LayerSpec, ModelSpec, integral_bits
+from .model import LayerSpec, ModelSpec
 from .quantizer import (
     QuantizedModel,
     QuantParams,
@@ -202,7 +203,12 @@ def load_quantized_model(buf: bytes):
         tensor_params, payloads, saturation = {}, {}, {}
         for t, arr in zip(tensors, sections):
             key = (t["layer"], t["role"])
-            tensor_params[key] = _quant_params(t)
+            p = tensor_params[key] = _quant_params(t)
+            # min and max, not abs, which wraps at the int16 minimum
+            if arr.size and (arr.min() < p.qmin or arr.max() > p.qmax):
+                raise MalformedHeaderError(
+                    f"layer {key[0]} {key[1]} payload lies outside "
+                    f"[{p.qmin}, {p.qmax}] of its {p.bits}-bit width")
             payloads[key] = arr
             saturation[key] = t.get("saturated", 0)
 

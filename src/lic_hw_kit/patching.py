@@ -14,11 +14,7 @@ float32), so both directions avoid copies the result does not need:
   and hands that stack to the returned :class:`Tensor` without a copy;
 - reassembly adds each patch in place into one float64 canvas, in
   row-major origin order, so every pixel sums the same float64 values in
-  the same order whatever the patches hold;
-- the per-pixel patch count comes from a 2-D difference array (+1/-1 at
-  the four corners of each patch, then a running sum along each axis),
-  exact for any grid, including hand-built ones that are not a product
-  of rows and columns.
+  the same order whatever the patches hold.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, integral_bits
 from .tensor import Tensor
 
 __all__ = ["PatchGrid", "tile_to_resolution", "extract_patches", "reassemble"]
@@ -36,19 +32,42 @@ __all__ = ["PatchGrid", "tile_to_resolution", "extract_patches", "reassemble"]
 
 @dataclass(frozen=True)
 class PatchGrid:
-    """Geometry of one extraction: image extents, patch size, stride,
-    and the row-major list of patch origins."""
+    """Geometry of one extraction: image extents, channels, patch size
+    and stride, from which the row-major patch origins follow."""
 
     image_h: int
     image_w: int
     channels: int
     patch: int
     stride: int
-    origins: tuple  # ((row, col), ...) row-major
+
+    def __post_init__(self):
+        if not (isinstance(self.patch, Integral) and isinstance(self.stride, Integral)):
+            raise ParameterError(
+                f"patch and stride must be integers; got {self.patch!r} and {self.stride!r}"
+            )
+        if self.patch < 1 or self.stride < 1:
+            raise ShapeError("patch and stride must be positive")
+        for extent in (self.image_h, self.image_w):
+            if self.patch > extent:
+                raise ShapeError(f"patch {self.patch} exceeds image extent {extent}")
+
+    @property
+    def rows(self) -> tuple:
+        return _axis_origins(self.image_h, self.patch, self.stride)
+
+    @property
+    def cols(self) -> tuple:
+        return _axis_origins(self.image_w, self.patch, self.stride)
+
+    @property
+    def origins(self) -> tuple:
+        """((row, col), ...) in row-major order."""
+        return tuple((r, c) for r in self.rows for c in self.cols)
 
     @property
     def count(self) -> int:
-        return len(self.origins)
+        return len(self.rows) * len(self.cols)
 
     @property
     def clamped(self) -> tuple:
@@ -56,30 +75,36 @@ class PatchGrid:
         return tuple(bool(r % self.stride or c % self.stride) for r, c in self.origins)
 
 
+def _axis_origins(extent: int, patch: int, stride: int) -> tuple:
+    origins = list(range(0, extent - patch + 1, stride))
+    if origins[-1] + patch < extent:
+        origins.append(extent - patch)
+    return tuple(origins)
+
+
+def _axis_cover(extent: int, origins, patch: int):
+    """Per pixel along one axis, how many patches cover it (float64)."""
+    cover = np.zeros(extent)
+    for o in origins:
+        cover[o:o + patch] += 1.0
+    return cover
+
+
 def tile_to_resolution(image: Tensor, target_h: int = 720,
                        target_w: int = 1280) -> Tensor:
-    """Repeat the image modularly to cover the target, then crop.
+    """Repeat the image modularly to cover the target.
 
     Output pixel (r, c) equals source pixel (r % h, c % w); a source
     already at the target passes through unchanged.
     """
+    target_h = integral_bits(target_h, "target extents")
+    target_w = integral_bits(target_w, "target extents")
     if target_h < 1 or target_w < 1:
         raise ShapeError("target extents must be positive")
     if image.h < 1 or image.w < 1:
         raise ShapeError(f"cannot tile an image of extent {image.h}x{image.w}")
-    reps_h = -(-target_h // image.h)
-    reps_w = -(-target_w // image.w)
-    tiled = np.tile(image.data, (1, 1, reps_h, reps_w))
-    return Tensor(tiled[:, :, :target_h, :target_w])
-
-
-def _axis_origins(extent: int, patch: int, stride: int):
-    if patch > extent:
-        raise ShapeError(f"patch {patch} exceeds image extent {extent}")
-    origins = list(range(0, extent - patch + 1, stride))
-    if origins[-1] + patch < extent:
-        origins.append(extent - patch)
-    return origins
+    rows = np.take(image.data, np.arange(target_h) % image.h, axis=2)
+    return Tensor._adopt(np.take(rows, np.arange(target_w) % image.w, axis=3))
 
 
 def extract_patches(image: Tensor, patch: int = 256, stride: int = 56):
@@ -90,22 +115,10 @@ def extract_patches(image: Tensor, patch: int = 256, stride: int = 56):
     """
     if image.n != 1:
         raise ShapeError(f"patch extraction expects a single image; n={image.n}")
-    if not (isinstance(patch, Integral) and isinstance(stride, Integral)):
-        raise ParameterError(
-            f"patch and stride must be integers; got {patch!r} and {stride!r}"
-        )
-    if patch < 1 or stride < 1:
-        raise ShapeError("patch and stride must be positive")
-    rows = _axis_origins(image.h, patch, stride)
-    cols = _axis_origins(image.w, patch, stride)
-    origins = tuple((r, c) for r in rows for c in cols)
-    stack = np.empty((len(origins), image.c, patch, patch), dtype=np.float32)
-    for i, (r, c) in enumerate(origins):
+    grid = PatchGrid(image.h, image.w, image.c, patch, stride)
+    stack = np.empty((grid.count, image.c, patch, patch), dtype=np.float32)
+    for i, (r, c) in enumerate(grid.origins):
         stack[i] = image.data[0, :, r:r + patch, c:c + patch]
-    grid = PatchGrid(
-        image_h=image.h, image_w=image.w, channels=image.c,
-        patch=patch, stride=stride, origins=origins,
-    )
     return Tensor._adopt(stack), grid
 
 
@@ -122,25 +135,12 @@ def reassemble(patches: Tensor, grid: PatchGrid) -> Tensor:
             f"({grid.channels}, {k}, {k})"
         )
     h, w = grid.image_h, grid.image_w
-    diff = np.zeros((h + 1, w + 1), dtype=np.float64)
-    for r, c in grid.origins:
-        if not (isinstance(r, Integral) and isinstance(c, Integral)):
-            raise ShapeError(f"origin {(r, c)} is not a pair of integers")
-        if not (0 <= r <= h - k and 0 <= c <= w - k):
-            raise ShapeError(
-                f"origin {(r, c)} puts a {k}x{k} patch outside the {h}x{w} image"
-            )
-        diff[r, c] += 1.0
-        diff[r, c + k] -= 1.0
-        diff[r + k, c] -= 1.0
-        diff[r + k, c + k] += 1.0
-    np.cumsum(diff, axis=0, out=diff)
-    np.cumsum(diff, axis=1, out=diff)
-    cover = diff[:h, :w]
-    if cover.min() < 1.0:
+    row_cover = _axis_cover(h, grid.rows, k)
+    col_cover = _axis_cover(w, grid.cols, k)
+    if row_cover.min() < 1.0 or col_cover.min() < 1.0:
         raise ShapeError("grid leaves pixels uncovered")
     acc = np.zeros((grid.channels, h, w), dtype=np.float64)
     for i, (r, c) in enumerate(grid.origins):
         acc[:, r:r + k, c:c + k] += patches.data[i]
-    acc /= cover
+    acc /= np.outer(row_cover, col_cover)  # exact integer counts per pixel
     return Tensor._adopt(acc[None].astype(np.float32))

@@ -19,7 +19,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, integral_bits
 from .model import ModelSpec, flops_of, layer_extents
 
 __all__ = [
@@ -51,8 +51,10 @@ class DpuConfig:
     def __post_init__(self):
         for name in ("pixel_parallel", "input_channel_parallel",
                      "output_channel_parallel", "cores"):
-            if int(getattr(self, name)) < 1:
+            n = integral_bits(getattr(self, name), name)
+            if n < 1:
                 raise ParameterError(f"{name} must be a positive integer")
+            object.__setattr__(self, name, n)
         if not self.freq_hz > 0:
             raise ParameterError("freq_hz must be positive")
         if not 0.0 < self.eta <= 1.0:

@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from math import ceil
 
-from .errors import ParameterError, SimulationError
+from .errors import ParameterError, SimulationError, integral_bits
 from .perf_model import DpuConfig, per_core_effective_ops_per_s
 
 __all__ = [
@@ -184,12 +184,14 @@ def simulate(stages, patch_count: int, cfg: DpuConfig, mode: str,
     stages = list(stages)
     if not stages:
         raise SimulationError("no stages to schedule")
+    patch_count = integral_bits(patch_count, "patch_count")
     if patch_count < 1:
         raise SimulationError("patch_count must be >= 1")
     if launch_overhead_s < 0:
         raise SimulationError("launch_overhead_s must be >= 0")
     if patches_per_frame is None:
         patches_per_frame = patch_count
+    patches_per_frame = integral_bits(patches_per_frame, "patches_per_frame")
     if patches_per_frame < 1:
         raise SimulationError("patches_per_frame must be >= 1")
 

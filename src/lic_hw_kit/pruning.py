@@ -20,7 +20,7 @@ from math import floor
 
 import numpy as np
 
-from .errors import ParameterError, PruningError
+from .errors import ParameterError, PruningError, integral_bits
 from .model import LayerSpec, ModelSpec, flops_of
 
 __all__ = [
@@ -47,6 +47,8 @@ class PruneSchedule:
     def __post_init__(self):
         if not 0.0 <= self.fraction_per_iteration < 1.0:
             raise ParameterError("fraction_per_iteration must lie in [0, 1)")
+        object.__setattr__(self, "iterations",
+                           integral_bits(self.iterations, "iterations"))
         if self.iterations < 1:
             raise ParameterError("iterations must be >= 1")
         if self.fraction_per_iteration * self.iterations >= 1.0:

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CalibrationError, ParameterError, ShapeError
+from .errors import CalibrationError, ParameterError, ShapeError, integral_bits
 from .fixed_point import _round_saturate
-from .model import LayerSpec, ModelSpec, integral_bits, model_forward
+from .model import LayerSpec, ModelSpec, model_forward
 from .tensor import Tensor
 
 __all__ = [

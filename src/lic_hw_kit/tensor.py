@@ -23,9 +23,6 @@ from .errors import (
 
 __all__ = ["Tensor", "save_tensor", "load_tensor"]
 
-# elements per finiteness test in Tensor._seal (a 64 KiB boolean scratch)
-_FINITE_BLOCK = 1 << 16
-
 
 class Tensor:
     """Immutable 4-D float32 array with dims (n, c, h, w).
@@ -39,34 +36,30 @@ class Tensor:
     __slots__ = ("data",)
 
     def __init__(self, data):
-        self._seal(np.array(data, dtype=np.float32, order="C"))  # own copy, never alias
+        arr = np.array(data, dtype=np.float32, order="C")  # own copy, never alias
+        self._seal(arr)
+        if not np.isfinite(arr).all():
+            raise DomainError("tensor contains non-finite elements")
 
     @classmethod
     def _adopt(cls, arr):
-        """Wrap ``arr`` without copying it.
+        """Wrap ``arr`` without copying or scanning it.
 
         ``arr`` must be a fresh C-contiguous float32 array that no one else
-        holds: it is checked as ``Tensor(...)`` checks its copy, then made
-        read-only and kept. Used only where arrays reach hundreds of MB
-        (patch stacks and reassembled frames), where a second copy would
-        set the peak memory.
+        holds and that is finite by construction: only its rank is
+        checked, then it is made read-only and kept. The callers build
+        their arrays from checked tensors (patch stacks are slices of one,
+        reassembled frames average them, tiled frames repeat one) or from
+        integers times a format step (the fixed-point GDN output).
         """
         t = cls.__new__(cls)
         t._seal(arr)
         return t
 
     def _seal(self, arr):
-        """Check rank and finiteness, freeze ``arr`` and keep it.
-
-        Finiteness is tested in fixed blocks of the flat view, so no
-        full-size boolean temporary is ever allocated.
-        """
+        """Check the rank, freeze ``arr`` and keep it."""
         if arr.ndim != 4:
             raise ShapeError(f"tensor must be 4-D (n, c, h, w); got shape {arr.shape}")
-        flat = arr.reshape(-1)
-        for start in range(0, flat.size, _FINITE_BLOCK):
-            if not np.isfinite(flat[start:start + _FINITE_BLOCK]).all():
-                raise DomainError("tensor contains non-finite elements")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 

@@ -166,3 +166,27 @@ def test_layer_entry_missing_a_required_field_is_rejected(rng, container, field)
     assert _without_layer_field(blob, None) == blob
     with pytest.raises(MalformedHeaderError, match=field):
         load(_without_layer_field(blob, field))
+
+
+@pytest.mark.parametrize("bits,value", [(12, 32767), (12, -32768), (12, 2048),
+                                        (12, -2048), (8, -128)])
+def test_payload_outside_its_width_is_rejected(rng, bits, value):
+    model = make_encoder(rng)
+    qm = ptq(model, calibrate(model, [rand_tensor(rng, (1, 3, 16, 16))]),
+             PrecisionPolicy(default_bits=bits))
+    payload = np.array(qm.payloads[(0, "weights")])
+    payload.reshape(-1)[0] = value
+    qm.payloads[(0, "weights")] = payload
+    with pytest.raises(MalformedHeaderError, match="layer 0 weights"):
+        load_quantized_model(save_quantized_model(qm))
+
+
+def test_payload_at_its_width_limits_loads(rng):
+    model = make_encoder(rng)
+    qm = ptq(model, calibrate(model, [rand_tensor(rng, (1, 3, 16, 16))]),
+             PrecisionPolicy(default_bits=12))
+    payload = np.array(qm.payloads[(0, "weights")])
+    payload.reshape(-1)[:2] = (2047, -2047)
+    qm.payloads[(0, "weights")] = payload
+    back = load_quantized_model(save_quantized_model(qm))
+    assert np.array_equal(back.payloads[(0, "weights")], payload)

@@ -88,6 +88,26 @@ def test_exact_fit_needs_no_clamp():
     assert not any(grid.clamped)
 
 
+def test_tile_output_is_fresh_frozen_c_contiguous(rng):
+    img = rand_tensor(rng, (2, 3, 5, 7))
+    out = tile_to_resolution(img, 11, 4)
+    assert out.dims == (2, 3, 11, 4)
+    assert out.data.dtype == np.float32 and out.data.flags.c_contiguous
+    assert not out.data.flags.writeable
+    assert not np.shares_memory(out.data, img.data)
+    r, c = np.ix_(np.arange(11) % 5, np.arange(4) % 7)
+    assert np.array_equal(out.data, img.data[:, :, r, c])
+
+
+@pytest.mark.parametrize("target", [2.5, "3", float("nan"), None])
+def test_tile_rejects_non_integral_targets(rng, target):
+    img = rand_tensor(rng, (1, 1, 3, 3))
+    with pytest.raises(ParameterError, match="integers"):
+        tile_to_resolution(img, target, 4)
+    with pytest.raises(ParameterError, match="integers"):
+        tile_to_resolution(img, 4, target)
+
+
 @pytest.mark.parametrize("dims", [(1, 3, 0, 0), (1, 3, 0, 4), (1, 3, 4, 0)])
 def test_tile_rejects_zero_extent_image(dims):
     with pytest.raises(ShapeError, match="cannot tile"):
@@ -106,6 +126,18 @@ def test_patch_params_validated(rng):
         extract_patches(img, 0, 56)
     with pytest.raises(ShapeError):
         extract_patches(img, 256, 0)
+
+
+def test_grid_is_derived_from_its_five_fields():
+    grid = PatchGrid(image_h=8, image_w=10, channels=1, patch=4, stride=4)
+    assert grid.rows == (0, 4) and grid.cols == (0, 4, 6)
+    assert grid.origins == ((0, 0), (0, 4), (0, 6), (4, 0), (4, 4), (4, 6))
+    assert grid.count == 6
+    assert grid.clamped == (False, False, True, False, False, True)
+    with pytest.raises(ParameterError, match="integers"):
+        PatchGrid(8, 8, 1, 4.0, 4)
+    with pytest.raises(ShapeError, match="exceeds"):
+        PatchGrid(8, 3, 1, 4, 4)
 
 
 def test_patch_contents_match_slices(rng):
@@ -176,32 +208,17 @@ def test_batched_input_rejected(rng):
         extract_patches(img, 256, 56)
 
 
-def grid_8x8(origins):
-    return PatchGrid(image_h=8, image_w=8, channels=1, patch=4, stride=4,
-                     origins=tuple(origins))
-
-
-QUAD = [(0, 0), (0, 4), (4, 0), (4, 4)]
-
-
-@pytest.mark.parametrize("bad", [(6, 6), (5, 0), (0, 5), (-2, 0), (0, -1)])
-def test_reassemble_rejects_origin_outside_image(bad):
-    grid = grid_8x8(QUAD + [bad])
-    patches = Tensor(np.ones((5, 1, 4, 4), dtype=np.float32))
-    with pytest.raises(ShapeError, match="outside"):
-        reassemble(patches, grid)
-
-
-@pytest.mark.parametrize("bad", [(1.5, 0), (0, 2.0)])
-def test_reassemble_rejects_non_integral_origin(bad):
-    grid = grid_8x8(QUAD + [bad])
-    patches = Tensor(np.ones((5, 1, 4, 4), dtype=np.float32))
-    with pytest.raises(ShapeError, match="integers"):
-        reassemble(patches, grid)
-
-
 def test_reassemble_rejects_uncovered_pixels():
-    grid = grid_8x8(QUAD[:3])
-    patches = Tensor(np.ones((3, 1, 4, 4), dtype=np.float32))
+    # stride 8 over patch 4 leaves pixels 4-7 and 12-15 of each axis bare
+    img = Tensor(np.ones((1, 1, 20, 20), dtype=np.float32))
+    patches, grid = extract_patches(img, 4, 8)
     with pytest.raises(ShapeError, match="uncovered"):
         reassemble(patches, grid)
+
+
+def test_clamped_origin_covers_the_gap_stride_leaves():
+    # extent 10, patch 6, stride 8: the clamped origin 4 covers 6..9
+    img = rand_tensor(np.random.default_rng(3), (1, 2, 10, 10))
+    patches, grid = extract_patches(img, 6, 8)
+    assert grid.rows == grid.cols == (0, 4)
+    assert np.array_equal(reassemble(patches, grid).data, img.data)
