@@ -2,158 +2,34 @@
 fixed-function hardware: bit-accurate GDN kernels, mixed-precision
 quantization, structured pruning, throughput estimation, patch pipeline
 simulation, RD curve comparison, and distillation loss bookkeeping.
+
+The public names are each module's ``__all__``; this package re-exports
+all of them. The command-line front end, ``lic_hw_kit.cli``, is not
+imported here.
 """
 
-from .bd_metrics import BdResult, RdCurve, bd_metrics, read_rd_csv
-from .errors import (
-    CalibrationError,
-    ConfigError,
-    CurveError,
-    DomainError,
-    FormatError,
-    MalformedHeaderError,
-    MissingInputError,
-    NoOverlapError,
-    ParameterError,
-    PruningError,
-    ShapeError,
-    SimulationError,
-    ToolkitError,
-    TruncatedPayloadError,
-    VersionMismatchError,
-)
-from .fixed_point import (
-    FixedPointFormat,
-    SqrtLut,
-    build_sqrt_lut,
-    from_fixed,
-    reciprocal_fixed,
-    round_half_away,
-    to_fixed,
-)
-from .gdn import (
-    GdnErrorReport,
-    GdnFixedStats,
-    GdnParams,
-    GdnStageFormats,
-    gdn_error_report,
-    gdn_fixed,
-    gdn_fixed_with_stats,
-    gdn_float,
-    igdn_fixed,
-    igdn_fixed_with_stats,
-    igdn_float,
-)
-from .kd_loss import (
-    KdWeights,
-    LossBreakdown,
-    PhaseSchedule,
-    PyramidFeatureExtractor,
-    kd_loss,
-    latent_loss,
-    perceptual_loss,
-    plateau_scheduler,
-)
-from .model import (
-    FlopsReport,
-    LayerSpec,
-    ModelSpec,
-    conv2d_forward,
-    deconv2d_forward,
-    flops_of,
-    layer_output_dims,
-    model_forward,
-    relu_forward,
-)
-from .model_io import (
-    load_model,
-    load_quantized_model,
-    save_model,
-    save_quantized_model,
-)
-from .patching import (
-    PatchGrid,
-    extract_patches,
-    reassemble,
-    tile_to_resolution,
-)
-from .perf_model import (
-    DpuConfig,
-    FpsEstimate,
-    LayerTraffic,
-    WorkloadProfile,
-    bandwidth_load,
-    estimate_fps,
-    peak_ops_per_cycle,
-    traffic_of_model,
-    workload_from_model,
-)
-from .pipeline_sim import (
-    STAGE_NAMES,
-    SimResult,
-    StageSpec,
-    partition_stages,
-    simulate,
-    student160_encoder_scenario,
-)
-from .pruning import (
-    PruneReport,
-    PruneSchedule,
-    filter_l2_norms,
-    iterative_prune,
-    prunable_layer_indices,
-    prune_step,
-)
-from .quantizer import (
-    CalibrationStats,
-    PrecisionPolicy,
-    QuantParams,
-    QuantizedModel,
-    StatRange,
-    calibrate,
-    dequantize,
-    dequantize_model,
-    fake_quant_forward,
-    ptq,
-    quant_params_from_stats,
-    quantize,
-    quantize_with_stats,
-    ste_grad,
-)
-from .tensor import Tensor, load_tensor, save_tensor
+import sys
+
+from .bd_metrics import *
+from .errors import *
+from .fixed_point import *
+from .gdn import *
+from .kd_loss import *
+from .model import *
+from .model_io import *
+from .patching import *
+from .perf_model import *
+from .pipeline_sim import *
+from .pruning import *
+from .quantizer import *
+from .tensor import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BdResult", "RdCurve", "bd_metrics", "read_rd_csv",
-    "CalibrationError", "ConfigError", "CurveError", "DomainError",
-    "FormatError", "MalformedHeaderError", "MissingInputError",
-    "NoOverlapError", "ParameterError", "PruningError", "ShapeError",
-    "SimulationError", "ToolkitError", "TruncatedPayloadError",
-    "VersionMismatchError",
-    "FixedPointFormat", "SqrtLut", "build_sqrt_lut", "from_fixed",
-    "reciprocal_fixed", "round_half_away", "to_fixed",
-    "GdnErrorReport", "GdnFixedStats", "GdnParams", "GdnStageFormats",
-    "gdn_error_report", "gdn_fixed", "gdn_fixed_with_stats", "gdn_float",
-    "igdn_fixed", "igdn_fixed_with_stats", "igdn_float",
-    "KdWeights", "LossBreakdown", "PhaseSchedule", "PyramidFeatureExtractor",
-    "kd_loss", "latent_loss", "perceptual_loss", "plateau_scheduler",
-    "FlopsReport", "LayerSpec", "ModelSpec", "conv2d_forward",
-    "deconv2d_forward", "flops_of", "layer_output_dims", "model_forward",
-    "relu_forward",
-    "load_model", "load_quantized_model", "save_model", "save_quantized_model",
-    "PatchGrid", "extract_patches", "reassemble", "tile_to_resolution",
-    "DpuConfig", "FpsEstimate", "LayerTraffic", "WorkloadProfile",
-    "bandwidth_load", "estimate_fps", "peak_ops_per_cycle",
-    "traffic_of_model", "workload_from_model",
-    "STAGE_NAMES", "SimResult", "StageSpec", "partition_stages", "simulate",
-    "student160_encoder_scenario",
-    "PruneReport", "PruneSchedule", "filter_l2_norms", "iterative_prune",
-    "prunable_layer_indices", "prune_step",
-    "CalibrationStats", "PrecisionPolicy", "QuantParams", "QuantizedModel",
-    "StatRange", "calibrate", "dequantize", "dequantize_model",
-    "fake_quant_forward", "ptq", "quant_params_from_stats",
-    "quantize", "quantize_with_stats", "ste_grad",
-    "Tensor", "load_tensor", "save_tensor",
-    "__version__",
-]
+# Read each list from sys.modules: the star imports above rebind the
+# package attributes bd_metrics and kd_loss to the functions of those names.
+__all__ = [name for module in (
+    "bd_metrics", "errors", "fixed_point", "gdn", "kd_loss", "model",
+    "model_io", "patching", "perf_model", "pipeline_sim", "pruning",
+    "quantizer", "tensor",
+) for name in sys.modules[f"{__name__}.{module}"].__all__] + ["__version__"]

@@ -38,7 +38,13 @@ from .gdn import GdnParams, GdnStageFormats, gdn_error_report
 from .kd_loss import KdWeights, PhaseSchedule, kd_loss, plateau_scheduler
 from .model_io import load_model, save_model, save_quantized_model
 from .patching import tile_to_resolution
-from .perf_model import DpuConfig, WorkloadProfile, estimate_fps, peak_ops_per_cycle
+from .perf_model import (
+    MAX_CORES,
+    DpuConfig,
+    WorkloadProfile,
+    estimate_fps,
+    peak_ops_per_cycle,
+)
 from .pipeline_sim import (
     StageSpec,
     simulate,
@@ -62,7 +68,7 @@ _DPU_SCHEMA = {
         "pixel_parallel": {"type": "integer", "minimum": 1},
         "input_channel_parallel": {"type": "integer", "minimum": 1},
         "output_channel_parallel": {"type": "integer", "minimum": 1},
-        "cores": {"type": "integer", "minimum": 1},
+        "cores": {"type": "integer", "minimum": 1, "maximum": MAX_CORES},
         "freq_hz": {"type": "number", "exclusiveMinimum": 0},
         "eta": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
         "mem_bandwidth_bytes_per_s": {"type": "number", "exclusiveMinimum": 0},

@@ -1,5 +1,23 @@
 """Exception types shared across the toolkit."""
 
+__all__ = [
+    "ToolkitError",
+    "ShapeError",
+    "DomainError",
+    "ParameterError",
+    "CalibrationError",
+    "PruningError",
+    "CurveError",
+    "NoOverlapError",
+    "SimulationError",
+    "ConfigError",
+    "MissingInputError",
+    "FormatError",
+    "MalformedHeaderError",
+    "TruncatedPayloadError",
+    "VersionMismatchError",
+]
+
 
 class ToolkitError(Exception):
     """Base class for every error raised by this package."""

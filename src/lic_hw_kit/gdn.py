@@ -53,6 +53,7 @@ __all__ = [
     "igdn_fixed",
     "gdn_fixed_with_stats",
     "igdn_fixed_with_stats",
+    "GdnFixedStats",
     "GdnErrorReport",
     "gdn_error_report",
 ]

@@ -34,6 +34,10 @@ __all__ = [
     "workload_from_model",
 ]
 
+# Far above the few DPU cores an FPGA instantiates; the simulator keeps
+# one busy counter per core, so the count must stay small enough to list.
+MAX_CORES = 1024
+
 
 @dataclass(frozen=True)
 class DpuConfig:
@@ -55,6 +59,9 @@ class DpuConfig:
             if n < 1:
                 raise ParameterError(f"{name} must be a positive integer")
             object.__setattr__(self, name, n)
+        if self.cores > MAX_CORES:
+            raise ParameterError(
+                f"cores must be at most {MAX_CORES}; got {self.cores}")
         if not self.freq_hz > 0:
             raise ParameterError("freq_hz must be positive")
         if not 0.0 < self.eta <= 1.0:

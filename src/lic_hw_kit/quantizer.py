@@ -203,7 +203,8 @@ class PrecisionPolicy:
         object.__setattr__(self, "default_bits", integral_bits(self.default_bits))
         object.__setattr__(self, "gdn_bits", integral_bits(self.gdn_bits))
         object.__setattr__(self, "overrides", {
-            li: integral_bits(b) for li, b in self.overrides.items()})
+            integral_bits(li, "override layer indices"): integral_bits(b)
+            for li, b in self.overrides.items()})
 
     def resolve(self, layer_index: int, layer) -> int:
         if layer_index in self.overrides:
@@ -242,9 +243,16 @@ def ptq(model: ModelSpec, stats: CalibrationStats,
         policy: PrecisionPolicy = PrecisionPolicy()) -> QuantizedModel:
     """Post-training quantization of every parameter tensor.
 
-    Raises CalibrationError (naming the layer) when stats are missing.
+    Raises CalibrationError (naming the layer) when stats are missing,
+    and ParameterError when a policy override names no layer of model.
     Deterministic: same model, stats, and policy give identical payloads.
     """
+    stray = sorted(set(policy.overrides) - set(range(len(model.layers))))
+    if stray:
+        raise ParameterError(
+            f"precision overrides name layers {stray}, but the model has "
+            f"{len(model.layers)} layers"
+        )
     tensor_params, payloads, saturation = {}, {}, {}
     activation_params = {}
     for li, layer in enumerate(model.layers):

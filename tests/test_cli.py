@@ -8,6 +8,7 @@ import pytest
 from lic_hw_kit import Tensor, load_model, save_model, save_tensor
 from lic_hw_kit.errors import FormatError, MalformedHeaderError, TruncatedPayloadError
 from lic_hw_kit.cli import main, read_ppm, write_ppm
+from lic_hw_kit.perf_model import MAX_CORES
 from conftest import make_encoder, rand_tensor
 
 
@@ -79,6 +80,18 @@ def test_quantize_policy_override(tmp_path, rng, model_file):
     first = [r for r in report["tensors"]
              if r["layer"] == 0 and r["role"] == "weights"]
     assert first and first[0]["bits"] == 16
+
+
+@pytest.mark.parametrize("layer", ["99", "5"])
+def test_quantize_override_naming_no_layer_exits_4(tmp_path, rng, model_file,
+                                                   capsys, layer):
+    path, _ = model_file  # layers 0..4
+    cfg = quantize_config(tmp_path, rng, path, overrides={layer: 16})
+    assert main(["quantize", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert f"layers [{layer}]" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +215,25 @@ def test_simulate_makespan_underflow_exits_4(tmp_path, capsys, extra):
     err = capsys.readouterr().err
     assert "makespan underflows" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cores", [MAX_CORES + 1, 10 ** 7, 1e300])
+def test_simulate_too_many_cores_exits_2(tmp_path, capsys, cores):
+    cfg = write_json(tmp_path / "sim.json", {"scenario": "student160_encoder",
+                                             "dpu": {"cores": cores}})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_simulate_accepts_the_core_bound(tmp_path):
+    cfg = write_json(tmp_path / "sim.json", {"scenario": "student160_encoder",
+                                             "dpu": {"cores": MAX_CORES}})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "sim_report.json").read_text())
+    assert report["results"]["pipelined"]["cores"] == MAX_CORES
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from lic_hw_kit import (
     traffic_of_model,
     workload_from_model,
 )
+from lic_hw_kit.perf_model import MAX_CORES
 from conftest import make_encoder
 
 
@@ -38,6 +39,17 @@ def test_config_validation():
         DpuConfig(eta=1.5)
     with pytest.raises(ParameterError):
         DpuConfig(freq_hz=-1.0)
+
+
+@pytest.mark.parametrize("cores", [MAX_CORES + 1, 10 ** 7, 1e300])
+def test_config_rejects_more_cores_than_the_bound(cores):
+    with pytest.raises(ParameterError, match=f"at most {MAX_CORES}"):
+        DpuConfig(cores=cores)
+
+
+def test_config_accepts_the_core_bound():
+    assert MAX_CORES == 1024
+    assert DpuConfig(cores=MAX_CORES).cores == MAX_CORES
 
 
 def test_fps_closed_form():

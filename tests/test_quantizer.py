@@ -201,6 +201,8 @@ def test_policy_resolution_order(rng):
     {"overrides": {0: "a"}},
     {"default_bits": 7.5},
     {"gdn_bits": "16"},
+    {"overrides": {"0": 16}},
+    {"overrides": {0.5: 16}},
 ])
 def test_policy_rejects_non_integral_widths(kwargs):
     with pytest.raises(ParameterError, match="integers"):
@@ -211,6 +213,14 @@ def test_policy_rejects_non_integral_widths(kwargs):
 def test_policy_rejects_overrides_that_are_not_a_mapping(overrides):
     with pytest.raises(ParameterError, match="overrides"):
         PrecisionPolicy(overrides=overrides)
+
+
+@pytest.mark.parametrize("layer", [INPUT_INDEX, 5, 99])
+def test_ptq_rejects_overrides_naming_no_layer(rng, layer):
+    model = make_encoder(rng)  # layers 0..4
+    stats = calibrate(model, [rand_tensor(rng, (1, 3, 16, 16))])
+    with pytest.raises(ParameterError, match=f"layers \\[{layer}\\]"):
+        ptq(model, stats, PrecisionPolicy(overrides={0: 16, layer: 16}))
 
 
 def test_policy_accepts_integral_float_widths(rng):
