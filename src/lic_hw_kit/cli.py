@@ -51,7 +51,7 @@ from .pipeline_sim import (
     student160_encoder_scenario,
 )
 from .pruning import PruneSchedule, iterative_prune
-from .quantizer import PrecisionPolicy, calibrate, ptq
+from .quantizer import WIDTHS, PrecisionPolicy, calibrate, ptq
 from .tensor import Tensor, load_tensor, save_tensor
 
 __all__ = ["main"]
@@ -60,6 +60,8 @@ __all__ = ["main"]
 # ---------------------------------------------------------------------------
 # Config plumbing
 # ---------------------------------------------------------------------------
+
+_BITS = {"type": "integer", "minimum": WIDTHS[0], "maximum": WIDTHS[1]}
 
 _DPU_SCHEMA = {
     "type": "object",
@@ -101,14 +103,11 @@ SCHEMAS = {
                 "type": "object",
                 "additionalProperties": False,
                 "properties": {
-                    "default_bits": {"type": "integer", "minimum": 2, "maximum": 32},
-                    "gdn_bits": {"type": "integer", "minimum": 2, "maximum": 32},
+                    "default_bits": _BITS,
+                    "gdn_bits": _BITS,
                     "overrides": {
                         "type": "object",
-                        "patternProperties": {
-                            r"^\d+$": {"type": "integer", "minimum": 2,
-                                       "maximum": 32},
-                        },
+                        "patternProperties": {r"^\d+$": _BITS},
                         "additionalProperties": False,
                     },
                 },
@@ -305,20 +304,8 @@ def _write_csv(path: Path, fieldnames, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
-
-
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _out_dir(args) -> Path:

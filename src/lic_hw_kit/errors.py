@@ -35,16 +35,21 @@ class ParameterError(ToolkitError):
     """Layer or kernel parameters violate a structural constraint."""
 
 
-def integral_bits(value, name: str = "bit widths") -> int:
+def integral_bits(value, name: str = "bit widths", least=None, most=None) -> int:
     """value as an int: integral numbers pass (8 and 8.0 alike); anything
     else, such as 8.5, "8", NaN or None, raises ParameterError naming
-    what value was meant to be."""
+    what value was meant to be, and so does an integer below least or
+    above most (a bound of None is open)."""
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
         n = None
     if n is None or n != value:
         raise ParameterError(f"{name} must be integers; got {value!r}")
+    if least is not None and n < least:
+        raise ParameterError(f"{name} must be >= {least}; got {n}")
+    if most is not None and n > most:
+        raise ParameterError(f"{name} must be at most {most}; got {n}")
     return n
 
 

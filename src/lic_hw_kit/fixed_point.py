@@ -49,14 +49,12 @@ class FixedPointFormat:
     frac_bits: int
 
     def __post_init__(self):
-        for name in ("total_bits", "frac_bits"):
-            object.__setattr__(self, name, integral_bits(getattr(self, name), name))
-        if self.total_bits not in _ALLOWED_TOTALS:
+        total = integral_bits(self.total_bits, "total_bits")
+        if total not in _ALLOWED_TOTALS:
             raise ParameterError(f"total_bits must be one of {_ALLOWED_TOTALS}")
-        if not 0 <= self.frac_bits < self.total_bits:
-            raise ParameterError(
-                f"frac_bits must lie in [0, {self.total_bits}); got {self.frac_bits}"
-            )
+        object.__setattr__(self, "total_bits", total)
+        object.__setattr__(self, "frac_bits",
+                           integral_bits(self.frac_bits, "frac_bits", 0, total - 1))
 
     @property
     def ulp(self) -> float:

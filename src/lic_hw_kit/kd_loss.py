@@ -61,14 +61,11 @@ class PhaseSchedule:
     max_phase_steps: int = 250_000
 
     def __post_init__(self):
-        for name in ("plateau_window", "max_phase_steps"):
-            object.__setattr__(self, name, integral_bits(getattr(self, name), name))
-        if self.plateau_window < 2:
-            raise ParameterError("plateau_window must be >= 2")
+        for name, least in (("plateau_window", 2), ("max_phase_steps", 1)):
+            object.__setattr__(self, name,
+                               integral_bits(getattr(self, name), name, least))
         if not self.plateau_threshold > 0:
             raise ParameterError("plateau_threshold must be positive")
-        if self.max_phase_steps < 1:
-            raise ParameterError("max_phase_steps must be >= 1")
 
 
 @dataclass(frozen=True)

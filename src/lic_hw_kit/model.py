@@ -48,13 +48,6 @@ MODEL_ROLES = (
 )
 
 
-def _layer_size(value, field: str, least: int) -> int:
-    n = integral_bits(value, f"layer sizes ({field})")
-    if n < least:
-        raise ParameterError(f"{field} must be >= {least}; got {n}")
-    return n
-
-
 def _frozen(arr, dtype):
     out = np.array(arr, dtype=dtype, order="C")
     out.flags.writeable = False
@@ -83,7 +76,8 @@ class LayerSpec:
     def __post_init__(self):
         for f, least in (("in_channels", 1), ("out_channels", 1), ("kernel", 1),
                          ("stride", 1), ("padding", 0)):
-            object.__setattr__(self, f, _layer_size(getattr(self, f), f, least))
+            object.__setattr__(self, f, integral_bits(
+                getattr(self, f), f"layer sizes ({f})", least))
         shapes = self.tensor_shapes(self.kind, self.in_channels,
                                     self.out_channels, self.kernel)
         if "weights" in shapes:
@@ -119,9 +113,9 @@ class LayerSpec:
         against it."""
         if kind not in LAYER_KINDS:
             raise ParameterError(f"unknown layer kind {kind!r}")
-        c_in = _layer_size(in_channels, "in_channels", 1)
-        c_out = _layer_size(out_channels, "out_channels", 1)
-        k = _layer_size(kernel, "kernel", 1)
+        c_in = integral_bits(in_channels, "layer sizes (in_channels)", 1)
+        c_out = integral_bits(out_channels, "layer sizes (out_channels)", 1)
+        k = integral_bits(kernel, "layer sizes (kernel)", 1)
         if kind in ("conv", "deconv"):
             return {"weights": (c_out, c_in, k, k), "bias": (c_out,)}
         if c_in != c_out:
@@ -200,10 +194,8 @@ class ModelSpec:
                     f"bit_widths lists {count} entries for "
                     f"{len(self.layers)} layers"
                 )
-            widths = [integral_bits(b) for b in self.bit_widths]
-            if any(b < 1 for b in widths):
-                raise ParameterError("bit widths must be positive")
-            object.__setattr__(self, "bit_widths", widths)
+            object.__setattr__(self, "bit_widths", [
+                integral_bits(b, least=1) for b in self.bit_widths])
 
     @property
     def in_channels(self) -> int:
@@ -236,7 +228,8 @@ def layer_extents(model: ModelSpec, input_hw):
     """Yield (layer, (h_in, w_in), (h_out, w_out)) for each layer of the
     stack, for one image of extent input_hw. Op counts and traffic read
     their extents from this walk."""
-    hw = (int(input_hw[0]), int(input_hw[1]))
+    hw = (integral_bits(input_hw[0], "input extents", 1),
+          integral_bits(input_hw[1], "input extents", 1))
     for layer in model.layers:
         out = layer_output_dims(layer, *hw)
         yield layer, hw, out

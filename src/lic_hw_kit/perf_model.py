@@ -53,15 +53,10 @@ class DpuConfig:
     workload_scale: float = 1.0
 
     def __post_init__(self):
-        for name in ("pixel_parallel", "input_channel_parallel",
-                     "output_channel_parallel", "cores"):
-            n = integral_bits(getattr(self, name), name)
-            if n < 1:
-                raise ParameterError(f"{name} must be a positive integer")
-            object.__setattr__(self, name, n)
-        if self.cores > MAX_CORES:
-            raise ParameterError(
-                f"cores must be at most {MAX_CORES}; got {self.cores}")
+        for name, most in (("pixel_parallel", None), ("input_channel_parallel", None),
+                           ("output_channel_parallel", None), ("cores", MAX_CORES)):
+            object.__setattr__(self, name,
+                               integral_bits(getattr(self, name), name, 1, most))
         if not self.freq_hz > 0:
             raise ParameterError("freq_hz must be positive")
         if not 0.0 < self.eta <= 1.0:

@@ -87,6 +87,18 @@ class SimResult:
         return asdict(self)
 
 
+def _schedulable(stages) -> list:
+    """stages as a list, checked to be non-empty with each name at most
+    once, so a partition scores at most C(4, 2) = 6 splits."""
+    stages = list(stages)
+    if not stages:
+        raise SimulationError("no stages to schedule")
+    names = [s.name for s in stages]
+    if len(set(names)) < len(names):
+        raise SimulationError(f"each stage may appear once; got {names}")
+    return stages
+
+
 def partition_stages(stages, cores: int):
     """Contiguous stage groups, one per used core.
 
@@ -94,9 +106,8 @@ def partition_stages(stages, cores: int):
     one minimizing the largest summed compute_ops wins (first such split
     on ties, so the choice is deterministic).
     """
+    stages = _schedulable(stages)
     n = len(stages)
-    if n == 0:
-        raise SimulationError("no stages to schedule")
     k = min(cores, n)
     best = None
     best_load = None
@@ -181,9 +192,7 @@ def simulate(stages, patch_count: int, cfg: DpuConfig, mode: str,
     returns (SimResult, trace) where trace rows are (time, core, stage,
     patch) start events.
     """
-    stages = list(stages)
-    if not stages:
-        raise SimulationError("no stages to schedule")
+    stages = _schedulable(stages)
     patch_count = integral_bits(patch_count, "patch_count")
     if patch_count < 1:
         raise SimulationError("patch_count must be >= 1")

@@ -48,9 +48,7 @@ class PruneSchedule:
         if not 0.0 <= self.fraction_per_iteration < 1.0:
             raise ParameterError("fraction_per_iteration must lie in [0, 1)")
         object.__setattr__(self, "iterations",
-                           integral_bits(self.iterations, "iterations"))
-        if self.iterations < 1:
-            raise ParameterError("iterations must be >= 1")
+                           integral_bits(self.iterations, "iterations", 1))
         if self.fraction_per_iteration * self.iterations >= 1.0:
             raise ParameterError("schedule would remove every filter")
 
@@ -169,8 +167,6 @@ def prune_step(model: ModelSpec, fraction_of_original: float, input_hw=None):
 
     Returns (pruned model, PruneReport). Deterministic.
     """
-    if not 0.0 <= fraction_of_original < 1.0:
-        raise ParameterError("fraction must lie in [0, 1)")
     schedule = PruneSchedule(fraction_of_original, 1, prune_hyperprior=True)
     return iterative_prune(model, schedule, input_hw=input_hw)
 

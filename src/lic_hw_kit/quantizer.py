@@ -41,6 +41,7 @@ __all__ = [
 INPUT_INDEX = -1  # pseudo layer index for the model input's activation stats
 
 SCALE_FLOOR = 2.0 ** -24
+WIDTHS = (2, 32)  # least and most bits of a quantized payload
 
 
 @dataclass
@@ -118,7 +119,7 @@ class QuantParams:
     def __post_init__(self):
         if self.zero_point != 0:
             raise ParameterError("symmetric quantization pins zero_point at 0")
-        object.__setattr__(self, "bits", _check_bits(self.bits))
+        object.__setattr__(self, "bits", integral_bits(self.bits, "bit widths", *WIDTHS))
         if not self.scale > 0:
             raise ParameterError("scale must be strictly positive")
         # dequantize multiplies payloads up to qmax by the scale; the
@@ -136,17 +137,10 @@ class QuantParams:
         return -self.qmax
 
 
-def _check_bits(bits) -> int:
-    bits = integral_bits(bits)
-    if not 2 <= bits <= 32:
-        raise ParameterError(f"bits must lie in [2, 32]; got {bits}")
-    return bits
-
-
 def quant_params_from_stats(rng: StatRange, bits: int) -> QuantParams:
     """Scale from the observed range; degenerate all-zero ranges fall back
     to a floor scale and are flagged."""
-    bits = _check_bits(bits)
+    bits = integral_bits(bits, "bit widths", *WIDTHS)
     bound = max(abs(rng.min_val), abs(rng.max_val))
     levels = (1 << (bits - 1)) - 1
     if bound == 0.0:
@@ -200,11 +194,12 @@ class PrecisionPolicy:
             raise ParameterError(
                 f"overrides must map layer index to bits; got {self.overrides!r}"
             )
-        object.__setattr__(self, "default_bits", integral_bits(self.default_bits))
-        object.__setattr__(self, "gdn_bits", integral_bits(self.gdn_bits))
+        for name in ("default_bits", "gdn_bits"):
+            object.__setattr__(self, name,
+                               integral_bits(getattr(self, name), "bit widths", *WIDTHS))
         object.__setattr__(self, "overrides", {
-            integral_bits(li, "override layer indices"): integral_bits(b)
-            for li, b in self.overrides.items()})
+            integral_bits(li, "override layer indices"):
+            integral_bits(b, "bit widths", *WIDTHS) for li, b in self.overrides.items()})
 
     def resolve(self, layer_index: int, layer) -> int:
         if layer_index in self.overrides:

@@ -236,6 +236,17 @@ def test_simulate_accepts_the_core_bound(tmp_path):
     assert report["results"]["pipelined"]["cores"] == MAX_CORES
 
 
+@pytest.mark.parametrize("mode", ["pipelined", "sequential", "both"])
+def test_simulate_repeated_stage_exits_4(tmp_path, capsys, mode):
+    cfg = write_json(tmp_path / "sim.json", {
+        "stages": [{"name": "entropy", "compute_ops": 1e8}] * 2,
+        "patch_count": 4, "mode": mode,
+    })
+    err = _run_fails(["simulate", "--config", cfg, "--out", str(tmp_path / "o")],
+                     capsys)
+    assert "appear once" in err
+
+
 # ---------------------------------------------------------------------------
 # bd-metrics
 # ---------------------------------------------------------------------------

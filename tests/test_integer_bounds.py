@@ -21,6 +21,7 @@ from lic_hw_kit import (
     StatRange,
     quant_params_from_stats,
 )
+from lic_hw_kit.errors import integral_bits
 from lic_hw_kit.perf_model import MAX_CORES
 
 
@@ -96,3 +97,24 @@ def test_integer_setting_rejects_one_step_past_its_bound(build, bound, step, nam
     for v in (bound + step, float(bound + step)):
         with pytest.raises(ParameterError, match=name):
             build(v)
+
+
+@pytest.mark.parametrize("value, least, most, message", [
+    (2.5, 3, None, "n must be integers; got 2.5"),
+    (40.5, None, 32, "n must be integers; got 40.5"),
+    (2, 3, None, "n must be >= 3; got 2"),
+    (33.0, 2, 32, "n must be at most 32; got 33"),
+    (-1, 0, 0, "n must be >= 0; got -1"),
+])
+def test_integral_bits_checks_integrality_before_range(value, least, most, message):
+    with pytest.raises(ParameterError) as err:
+        integral_bits(value, "n", least, most)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("value, least, most", [
+    (-(10 ** 30), None, None), (10 ** 30, 1, None), (-5.0, None, -5), (0, 0, 0),
+])
+def test_integral_bits_open_and_closed_bounds(value, least, most):
+    got = integral_bits(value, "n", least, most)
+    assert got == value and type(got) is int

@@ -8,9 +8,13 @@ from lic_hw_kit import (
     LayerSpec,
     ModelSpec,
     ParameterError,
+    PruneSchedule,
     ShapeError,
+    flops_of,
+    iterative_prune,
     model_forward,
     traffic_of_model,
+    workload_from_model,
 )
 from lic_hw_kit.model import layer_extents
 from conftest import make_conv, make_gdn, rand_tensor
@@ -55,6 +59,37 @@ def test_walk_names_the_layer_that_collapses(rng):
                       layers=[make_conv(3, 4, k=3, s=2, p=0, rng=rng)])
     with pytest.raises(ShapeError, match="conv maps 2x9 below 1x1"):
         list(layer_extents(model, (2, 9)))
+
+
+_EXTENT_USERS = {
+    "flops_of": flops_of,
+    "traffic_of_model": traffic_of_model,
+    "workload_from_model": workload_from_model,
+    "iterative_prune": lambda m, hw: iterative_prune(m, PruneSchedule(),
+                                                     input_hw=hw),
+}
+
+
+def _relu_model():
+    return ModelSpec(name="relu", role="main_encoder",
+                     layers=[LayerSpec(kind="relu", in_channels=3, out_channels=3)])
+
+
+@pytest.mark.parametrize("hw, message", [
+    ((-4, 5), "input extents must be >= 1"), ((0, 0), "input extents must be >= 1"),
+    ((4, -1), "input extents must be >= 1"), ((2.5, 4), "input extents must be integers"),
+    ((4, "5"), "input extents must be integers"),
+])
+@pytest.mark.parametrize("use", sorted(_EXTENT_USERS))
+def test_input_extents_must_be_positive_integers(use, hw, message):
+    with pytest.raises(ParameterError, match=message):
+        _EXTENT_USERS[use](_relu_model(), hw)
+
+
+def test_integral_float_input_extents_count_like_ints():
+    model = _relu_model()
+    assert flops_of(model, (4.0, 5.0)) == flops_of(model, (4, 5))
+    assert flops_of(model, (4, 5)).total == 60
 
 
 @pytest.mark.parametrize("field, value", [

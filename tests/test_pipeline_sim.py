@@ -65,6 +65,17 @@ def test_empty_stage_list_rejected():
         simulate([], 10, DpuConfig(), "pipelined")
 
 
+def test_repeated_stage_name_rejected():
+    # repeats would let the partition search score C(n-1, k-1) splits
+    stages = [StageSpec("entropy", compute_ops=1e8),
+              StageSpec("entropy", compute_ops=2e8)]
+    with pytest.raises(SimulationError, match="appear once"):
+        partition_stages(stages, cores=2)
+    for mode in ("pipelined", "sequential"):
+        with pytest.raises(SimulationError, match="appear once"):
+            simulate(stages, 10, DpuConfig(), mode)
+
+
 # ---------------------------------------------------------------------------
 # Hand-checked schedules
 # ---------------------------------------------------------------------------
