@@ -217,13 +217,12 @@ class SqrtLut:
     max_abs_error: float = field(init=False, compare=False)
 
     def __post_init__(self):
-        lo, hi, segments, fmt = float(self.lo), float(self.hi), self.segments, self.fmt
+        lo, hi, fmt = float(self.lo), float(self.hi), self.fmt
         if lo <= 0:
             raise DomainError(f"sqrt lut domain must be positive; got lo={lo}")
         if hi <= lo:
             raise DomainError(f"sqrt lut domain is empty: [{lo}, {hi})")
-        if segments < 2:
-            raise ParameterError("sqrt lut needs at least 2 segments")
+        segments = integral_bits(self.segments, "sqrt lut segments", 2)
         if math.sqrt(hi) > fmt.max_value:
             raise ParameterError(
                 f"sqrt({hi}) = {math.sqrt(hi):.4f} exceeds the format range "
@@ -247,8 +246,9 @@ class SqrtLut:
         intercepts = round_half_away(np.sqrt(knots * fmt.ulp) * one)
         # floor, not round: see the class docstring
         slopes = ((intercepts[1:] - intercepts[:-1]) << fmt.frac_bits) // np.diff(knots)
-        for name, value in (("lo", lo), ("hi", hi), ("knots", knots),
-                            ("intercepts", intercepts), ("slopes", slopes)):
+        for name, value in (("lo", lo), ("hi", hi), ("segments", segments),
+                            ("knots", knots), ("intercepts", intercepts),
+                            ("slopes", slopes)):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "max_abs_error", _measure_lut_error(self))
 

@@ -144,10 +144,8 @@ class LayerTraffic:
     bits: int
 
     def __post_init__(self):
-        if min(self.h, self.w, self.n_in, self.n_out, self.kernel) < 1:
-            raise ParameterError("traffic extents must be positive")
-        if self.bits < 1:
-            raise ParameterError("bits must be positive")
+        for name in ("h", "w", "n_in", "n_out", "kernel", "bits"):
+            object.__setattr__(self, name, integral_bits(getattr(self, name), name, 1))
 
 
 def bandwidth_load(layers) -> tuple:

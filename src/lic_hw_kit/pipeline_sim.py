@@ -94,8 +94,10 @@ def _schedulable(stages) -> list:
     if not stages:
         raise SimulationError("no stages to schedule")
     names = [s.name for s in stages]
-    if len(set(names)) < len(names):
-        raise SimulationError(f"each stage may appear once; got {names}")
+    repeated = sorted(n for n in set(names) if names.count(n) > 1)
+    if repeated:
+        raise SimulationError(
+            f"each stage may appear once; {', '.join(repeated)} repeat")
     return stages
 
 

@@ -11,6 +11,7 @@ import pytest
 from lic_hw_kit import (
     DpuConfig,
     FixedPointFormat,
+    LayerTraffic,
     LayerSpec,
     ModelSpec,
     ParameterError,
@@ -19,6 +20,7 @@ from lic_hw_kit import (
     PruneSchedule,
     QuantParams,
     StatRange,
+    build_sqrt_lut,
     quant_params_from_stats,
 )
 from lic_hw_kit.errors import integral_bits
@@ -44,6 +46,8 @@ def _model_bits(v):
     return ModelSpec(name="m", layers=[relu], role="main_encoder",
                      bit_widths=[v]).bit_widths[0]
 
+
+_TRAFFIC = {"h": 4, "w": 4, "n_in": 2, "n_out": 2, "kernel": 3, "bits": 8}
 
 # (id, build(value) -> stored value, least, most, what the error names)
 SITES = [
@@ -77,6 +81,11 @@ SITES = [
     *[(f"FixedPointFormat.frac_bits.{total}",
        lambda v, total=total: FixedPointFormat(total, v).frac_bits, 0, total - 1,
        "frac_bits") for total in (8, 16, 32)],
+    ("SqrtLut.segments", lambda v: build_sqrt_lut(segments=v).segments, 2, None,
+     "segments"),
+    *[(f"LayerTraffic.{f}",
+       lambda v, f=f: getattr(LayerTraffic(**{**_TRAFFIC, f: v}), f), 1, None, f)
+      for f in _TRAFFIC],
 ]
 
 BOUNDS = [pytest.param(build, bound, step, name, id=f"{site}-{side}")
@@ -97,6 +106,12 @@ def test_integer_setting_rejects_one_step_past_its_bound(build, bound, step, nam
     for v in (bound + step, float(bound + step)):
         with pytest.raises(ParameterError, match=name):
             build(v)
+
+
+@pytest.mark.parametrize("build, bound, step, name", BOUNDS)
+def test_integer_setting_rejects_a_fraction_inside_its_bound(build, bound, step, name):
+    with pytest.raises(ParameterError, match=f"{name}.*must be integers"):
+        build(bound - step / 2)
 
 
 @pytest.mark.parametrize("value, least, most, message", [
