@@ -88,8 +88,9 @@ class SimResult:
 
 
 def _schedulable(stages) -> list:
-    """stages as a list, checked to be non-empty with each name at most
-    once, so a partition scores at most C(4, 2) = 6 splits."""
+    """stages as a list, checked to be non-empty and to name each of the
+    five STAGE_NAMES at most once, so a partition scores at most
+    C(4, 2) = 6 contiguous splits."""
     stages = list(stages)
     if not stages:
         raise SimulationError("no stages to schedule")
@@ -97,7 +98,7 @@ def _schedulable(stages) -> list:
     repeated = sorted(n for n in set(names) if names.count(n) > 1)
     if repeated:
         raise SimulationError(
-            f"each stage may appear once; {', '.join(repeated)} repeat")
+            f"each stage may appear once; repeated: {', '.join(repeated)}")
     return stages
 
 
