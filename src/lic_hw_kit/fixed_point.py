@@ -83,12 +83,20 @@ def round_half_away(x):
 
 
 def _round_in_place(v):
-    """Round a float64 array the caller owns half away from zero, in place."""
-    sign = np.sign(v)
-    np.abs(v, out=v)
-    v += 0.5
-    np.floor(v, out=v)
-    v *= sign
+    """Round a float64 array the caller owns half away from zero, in place.
+
+    The decision is taken on the exact fraction f = v - trunc(v): trunc(2f)
+    is the step away from zero (0 or +-1), and both f and 2f are exact.
+    Adding 0.5 to |v| instead would round twice, taking
+    0.49999999999999994 to 1 and 2**52 + 1 to 2**52 + 2. An infinite
+    element becomes NaN (inf - inf), which _round_saturate rejects.
+    """
+    whole = np.trunc(v)
+    with np.errstate(invalid="ignore"):
+        v -= whole
+    v *= 2.0
+    np.trunc(v, out=v)
+    v += whole
     return v
 
 
@@ -182,9 +190,16 @@ def shift_round(v, nbits):
 
 def saturate_q(q, fmt: FixedPointFormat):
     """Clamp Q-format integers to the format limits. Returns (clamped, count)."""
+    clipped, moved = _clamp(q, fmt)
+    return clipped, int(np.count_nonzero(moved))
+
+
+def _clamp(q, fmt: FixedPointFormat):
+    """saturate_q with the mask of the clamped elements in place of their
+    count, for callers that need to know which elements saturated."""
     q = np.asarray(q, dtype=np.int64)
     clipped = np.clip(q, fmt.qmin, fmt.qmax)
-    return clipped, int(np.count_nonzero(clipped != q))
+    return clipped, clipped != q
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +381,14 @@ def _recip_seed_table(fmt: FixedPointFormat):
 
 def _reciprocal_q(d_int, fmt: FixedPointFormat):
     """Reciprocal on Q-format integers. Returns (q, n_saturated)."""
+    return saturate_q(_reciprocal_unclamped(d_int, fmt), fmt)
+
+
+def _reciprocal_unclamped(d_int, fmt: FixedPointFormat):
+    """_reciprocal_q before the final clamp to the format limits."""
     d_int = np.asarray(d_int, dtype=np.int64)
     if d_int.size == 0:
-        return d_int.copy(), 0
+        return d_int.copy()
     if d_int.min() <= 0:
         raise DomainError("reciprocal requires strictly positive input")
     if fmt.max_value < 2.0:
@@ -392,8 +412,7 @@ def _reciprocal_q(d_int, fmt: FixedPointFormat):
         r = rshift_round(r * (2 * one - dr), f)
 
     # 1/d = (1/m) * 2**-k
-    out = shift_round(r, k)
-    return saturate_q(out, fmt)
+    return shift_round(r, k)
 
 
 def reciprocal_fixed(d, fmt: FixedPointFormat = FixedPointFormat(32, 24)):

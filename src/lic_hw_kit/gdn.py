@@ -19,6 +19,19 @@ temporaries stay in cache instead of streaming whole maps through
 memory. GDN mixes channels only within a position, so blocking does not
 change a bit of the output or the saturation counts; the MAC headroom
 check runs per block and raises the same ParameterError.
+
+After the accumulate, the root and reciprocal stages depend on nothing
+but the accumulator integer, which saturation and the floor at one step
+hold in [1, qmax]. When that grid has no more values than a block
+(accum qmax <= _BLOCK: the stock 8- and 16-bit formats, not the 32-bit
+one), the pipeline evaluates both stages once for every accumulator
+value of the format and then serves each block by a gather from that
+table, cached per format set and direction. This is what the hardware
+does: a datapath with an accumulator of 16 bits or fewer implements the
+root and the reciprocal as one ROM indexed by the accumulator. The
+table holds the stage arithmetic's own results, saturation flags
+included, so outputs and counts are bit-identical to evaluating every
+element; wider accumulators keep the element-by-element path.
 """
 
 from __future__ import annotations
@@ -33,7 +46,8 @@ from .errors import ParameterError, ShapeError
 from .fixed_point import (
     FixedPointFormat,
     SqrtLut,
-    _reciprocal_q,
+    _clamp,
+    _reciprocal_unclamped,
     _round_saturate,
     build_sqrt_lut,
     from_fixed,
@@ -255,8 +269,9 @@ def _gamma_mac(gamma_q, sq):
     return acc
 
 
-def _sqrt_range_reduced(acc_q, acc_fmt, lut: SqrtLut, out_fmt):
-    """sqrt of positive accumulator values via [1, 4) range reduction.
+def _sqrt_unclamped(acc_q, acc_fmt, lut: SqrtLut, out_fmt):
+    """sqrt of positive accumulator values via [1, 4) range reduction,
+    before the clamp to out_fmt.
 
     acc = m * 4**k with m in [1, 4), so sqrt(acc) = lut(m) * 2**k.
     Exponents are split per element; shifts are exact or rounded once.
@@ -270,17 +285,60 @@ def _sqrt_range_reduced(acc_q, acc_fmt, lut: SqrtLut, out_fmt):
     one = np.int64(1) << f_l
     m = np.clip(m, one, 4 * one - 1)
     val = lut.eval_int(m)
-    out = shift_round(val, f_l - out_fmt.frac_bits - k)
-    return saturate_q(out, out_fmt)
+    return shift_round(val, f_l - out_fmt.frac_bits - k)
 
 
-def _recip_stage(root_q, root_fmt, recip_fmt):
-    d, sat_in = saturate_q(
+def _sqrt_range_reduced(acc_q, acc_fmt, lut: SqrtLut, out_fmt):
+    """The root stage: (root_q, n_saturated)."""
+    return saturate_q(_sqrt_unclamped(acc_q, acc_fmt, lut, out_fmt), out_fmt)
+
+
+def _recip_clamps(root_q, root_fmt, recip_fmt):
+    """The reciprocal stage: (recip_q, moved_in, moved_out), with the
+    masks of the elements that the clamp of the shifted root into
+    recip_fmt and the clamp of the reciprocal moved."""
+    d, moved_in = _clamp(
         rshift_round(root_q, root_fmt.frac_bits - recip_fmt.frac_bits), recip_fmt
     )
     d = np.maximum(d, 1)  # root of a positive pool is positive
-    q, sat = _reciprocal_q(d, recip_fmt)
-    return q, sat_in + sat
+    q, moved_out = _clamp(_reciprocal_unclamped(d, recip_fmt), recip_fmt)
+    return q, moved_in, moved_out
+
+
+def _recip_stage(root_q, root_fmt, recip_fmt):
+    """The reciprocal stage: (recip_q, n_saturated)."""
+    q, moved_in, moved_out = _recip_clamps(root_q, root_fmt, recip_fmt)
+    return q, int(np.count_nonzero(moved_in)) + int(np.count_nonzero(moved_out))
+
+
+def _scale_stages(acc, lut, formats, inverse):
+    """The root and (gdn only) reciprocal stages on accumulator values
+    floored at 1, element by element. Returns (scale_q, clamps): the
+    integer the input is multiplied by, on the root grid for igdn and the
+    recip grid for gdn, and a list of (stage, mask of the elements one of
+    that stage's clamps moved)."""
+    f_root = formats.root
+    root, moved = _clamp(_sqrt_unclamped(acc, formats.accum, lut, f_root), f_root)
+    root = np.maximum(root, 1)
+    if inverse:
+        return root, [("root", moved)]
+    recip, moved_in, moved_out = _recip_clamps(root, f_root, formats.recip)
+    return recip, [("root", moved), ("recip", moved_in), ("recip", moved_out)]
+
+
+@lru_cache(maxsize=None)
+def _stage_table(formats: GdnStageFormats, inverse: bool):
+    """_scale_stages tabulated over every accumulator value: (scale,
+    clamps) indexed by the accumulator integer, keeping only the clamp
+    masks that are set somewhere. Entry 0, which no floored accumulator
+    reaches, repeats entry 1. The arrays are read-only, as every caller
+    shares them."""
+    acc = np.maximum(np.arange(formats.accum.qmax + 1, dtype=np.int64), 1)
+    scale, clamps = _scale_stages(acc, _lut_for(formats.root), formats, inverse)
+    clamps = [(s, m) for s, m in clamps if m.any()]
+    for a in (scale, *(m for _, m in clamps)):
+        a.flags.writeable = False
+    return scale, clamps
 
 
 def _fixed_pipeline(x: Tensor, params: GdnParams, formats: GdnStageFormats,
@@ -292,6 +350,10 @@ def _fixed_pipeline(x: Tensor, params: GdnParams, formats: GdnStageFormats,
         )
     beta_q, gamma_q = _quantize_params(params, formats)
     lut = _lut_for(formats.root)
+    # a table costs at most one block to build; an empty input builds none,
+    # so a recip format that cannot hold 2 still raises only on data
+    table = (_stage_table(formats, inverse)
+             if x.size and formats.accum.qmax <= _BLOCK else None)
     sat = dict.fromkeys(STAGES, 0)
     n, c, hw = x.n, x.c, x.h * x.w
     xv = x.data.reshape(n, c, hw)
@@ -303,15 +365,17 @@ def _fixed_pipeline(x: Tensor, params: GdnParams, formats: GdnStageFormats,
     for i in range(0, n, imgs):
         for p in range(0, hw, per):
             blk = np.s_[i:i + imgs, :, p:p + per]
-            ov[blk] = _fixed_block(xv[blk], beta_q, gamma_q, lut, formats, inverse, sat)
+            ov[blk] = _fixed_block(xv[blk], beta_q, gamma_q, lut, table, formats,
+                                   inverse, sat)
     return Tensor._adopt(out), sat
 
 
-def _fixed_block(x, beta_q, gamma_q, lut, formats, inverse, sat):
+def _fixed_block(x, beta_q, gamma_q, lut, table, formats, inverse, sat):
     """The pipeline on one (N, C, P) block of the input: the float64
-    output values. Adds the block's saturation counts into sat."""
+    output values. Adds the block's saturation counts into sat. With a
+    _stage_table, the root and reciprocal stages are gathers from it."""
     f_in, f_sq, f_acc = formats.input, formats.square, formats.accum
-    f_root, f_rec, f_out = formats.root, formats.recip, formats.output
+    f_out = formats.output
 
     x_q, n = to_fixed(x, f_in)
     sat["input"] += n
@@ -328,17 +392,16 @@ def _fixed_block(x, beta_q, gamma_q, lut, formats, inverse, sat):
     sat["accum"] += n
     acc = np.maximum(acc, 1)
 
-    root, n = _sqrt_range_reduced(acc, f_acc, lut, f_root)
-    sat["root"] += n
-    root = np.maximum(root, 1)
-
-    if inverse:
-        scale_q, scale_frac = root, f_root.frac_bits
+    if table is None:
+        scale_q, clamps = _scale_stages(acc, lut, formats, inverse)
     else:
-        recip, n = _recip_stage(root, f_root, f_rec)
-        sat["recip"] += n
-        scale_q, scale_frac = recip, f_rec.frac_bits
+        scale, masks = table
+        scale_q = scale[acc]
+        clamps = [(s, m[acc]) for s, m in masks]
+    for s, m in clamps:
+        sat[s] += int(np.count_nonzero(m))
 
+    scale_frac = (formats.root if inverse else formats.recip).frac_bits
     out = rshift_round(x_q * scale_q, f_in.frac_bits + scale_frac - f_out.frac_bits)
     out, n = saturate_q(out, f_out)
     sat["output"] += n

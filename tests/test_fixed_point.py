@@ -1,10 +1,11 @@
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lic_hw_kit import (
@@ -60,6 +61,54 @@ def test_round_half_away_direction():
 def test_round_half_away_symmetric(n):
     x = n / 97.0
     assert round_half_away(-x) == -round_half_away(x)
+
+
+BELOW_HALF = 0.49999999999999994  # the largest double below 0.5
+BIG_ODD = 2.0 ** 52 + 1  # |v| + 0.5 is a tie that rounds to the even 2**52 + 2
+
+
+def test_round_half_away_rounds_the_exact_value():
+    x = np.array([BELOW_HALF, -BELOW_HALF, BIG_ODD, -BIG_ODD, 0.0, -0.0,
+                  0.5, -0.5, 2.5, -2.5, 2.0 ** 51 + 0.5, -(2.0 ** 51 + 0.5)])
+    big = 2 ** 52 + 1
+    assert round_half_away(x).tolist() == [
+        0, 0, big, -big, 0, 0, 1, -1, 3, -3, 2 ** 51 + 1, -(2 ** 51 + 1)]
+    assert int(round_half_away(BELOW_HALF)) == 0
+    assert int(round_half_away(-BIG_ODD)) == -big
+    # to_fixed shares the rounding step
+    q, _ = to_fixed(np.array([BELOW_HALF, -BELOW_HALF]), FixedPointFormat(32, 0))
+    assert q.tolist() == [0, 0]
+
+
+def _round_oracle(x: float) -> int:
+    """Half away from zero, decided on the exact rational value of x."""
+    f = Fraction(x)
+    n = math.floor(abs(f) + Fraction(1, 2))
+    return n if f >= 0 else -n
+
+
+def _near_half(n: int, steps: int) -> float:
+    """The double `steps` ulps away from float(n) + 0.5, where adding 0.5
+    to |v| rounds a second time."""
+    v = float(n) + 0.5
+    for _ in range(abs(steps)):
+        v = math.nextafter(v, math.copysign(math.inf, steps))
+    return v
+
+
+_round_inputs = st.one_of(
+    st.floats(min_value=-2.0 ** 62, max_value=2.0 ** 62),
+    st.builds(_near_half, st.integers(-2 ** 62, 2 ** 62), st.integers(-2, 2)),
+    st.integers(-2 ** 62, 2 ** 62).map(float),
+)
+
+
+@given(st.lists(_round_inputs, min_size=1, max_size=16))
+@example([BELOW_HALF])
+@example([-BIG_ODD])
+@settings(max_examples=100)
+def test_round_half_away_matches_exact_oracle(xs):
+    assert round_half_away(np.array(xs)).tolist() == [_round_oracle(x) for x in xs]
 
 
 def test_to_fixed_rounds_to_nearest_step():

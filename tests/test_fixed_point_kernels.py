@@ -447,3 +447,129 @@ def test_grid_q_matches_the_unclamped_cast_inside_int64():
         assert _same(gdn._grid_q(v, f, 1 << 62), old)
     huge = gdn._grid_q(np.array([1e30, 1e300]), 24, 1 << 62)
     assert huge.tolist() == [1 << 62, 1 << 62]
+
+
+# ---------------------------------------------------------------------------
+# Root and reciprocal stage table
+# ---------------------------------------------------------------------------
+
+
+def _helper_stages(acc, formats, inverse):
+    """The root and reciprocal stages as the pipeline ran them element by
+    element before the table: the count-returning stage helpers on the
+    oracle kernels. Returns (scale_q, saturation counts)."""
+    lut = gdn._lut_for(formats.root)
+    with oracle_kernels():
+        root, n_root = gdn._sqrt_range_reduced(acc, formats.accum, lut, formats.root)
+        root = np.maximum(root, 1)
+        if inverse:
+            return root, {"root": n_root, "recip": 0}
+        recip, n_recip = gdn._recip_stage(root, formats.root, formats.recip)
+    return recip, {"root": n_root, "recip": n_recip}
+
+
+def _table_stages(acc, formats, inverse):
+    """The same two stages served from the per-format table."""
+    scale, masks = gdn._stage_table(formats, inverse)
+    counts = {"root": 0, "recip": 0}
+    for stage, m in masks:
+        counts[stage] += int(np.count_nonzero(m[acc]))
+    return scale[acc], counts
+
+
+def _assert_table_matches_helpers(formats, inverse, acc):
+    scale, counts = _table_stages(acc, formats, inverse)
+    ref, ref_counts = _helper_stages(acc, formats, inverse)
+    assert _same(scale, ref)
+    assert counts == ref_counts
+    return counts
+
+
+F = FixedPointFormat
+# 16-bit accumulator: the root clamps above acc = 63, the shifted root
+# clamps into recip above 3.97, and the reciprocal of acc <= 1/16 clamps
+_SAT16 = GdnStageFormats(input=F(16, 8), square=F(16, 8), accum=F(16, 8), root=F(8, 4),
+                         recip=F(8, 5), output=F(16, 8), param=F(16, 12))
+# 8-bit accumulator on whole steps: the root and the shifted root clamp
+_SAT8 = GdnStageFormats(input=F(8, 2), square=F(8, 1), accum=F(8, 0), root=F(8, 4),
+                        recip=F(8, 5), output=F(8, 2), param=F(8, 5))
+
+
+@pytest.mark.parametrize("bits", [8, 16])
+@pytest.mark.parametrize("inverse", [False, True], ids=["gdn", "igdn"])
+def test_stock_stage_tables_match_helpers_on_every_accumulator(bits, inverse):
+    formats = GdnStageFormats.default(bits)
+    acc = np.arange(1, formats.accum.qmax + 1, dtype=np.int64)
+    _assert_table_matches_helpers(formats, inverse, acc)
+
+
+@pytest.mark.parametrize("formats", [_SAT16, _SAT8], ids=["accum16", "accum8"])
+@pytest.mark.parametrize("inverse", [False, True], ids=["gdn", "igdn"])
+def test_saturating_stage_tables_match_helpers(formats, inverse):
+    acc = np.arange(1, formats.accum.qmax + 1, dtype=np.int64)
+    counts = _assert_table_matches_helpers(formats, inverse, acc)
+    assert counts["root"] > 0 and (inverse or counts["recip"] > 0)
+    if formats is _SAT16 and not inverse:
+        _, masks = gdn._stage_table(formats, inverse)
+        assert [s for s, _ in masks] == ["root", "recip", "recip"]
+    # counts over arbitrary multisets pin every entry's flags, not just the sums
+    rng = np.random.default_rng(formats.accum.total_bits)
+    for size in (1, 7, 500):
+        _assert_table_matches_helpers(formats, inverse, rng.integers(1, acc[-1], size,
+                                                                     endpoint=True))
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["gdn", "igdn"])
+def test_saturating_stage_table_pipeline_matches_oracle(inverse):
+    rng = np.random.default_rng(16)
+    c = 4
+    data = rng.uniform(-12.0, 12.0, (2, c, 6, 6))
+    data[:, :, 0] = 0.0  # accumulators at the floor: the reciprocal clamps
+    x = Tensor(data)
+    params = GdnParams(beta=np.full(c, 1e-4), gamma=np.eye(c) + 0.01)
+    fn = igdn_fixed_with_stats if inverse else gdn_fixed_with_stats
+    out, stats = fn(x, params, _SAT16)
+    ref, sat = oracle_fixed_pipeline(x, params, _SAT16, inverse)
+    assert np.array_equal(out.data, ref.data)
+    assert stats.saturation == sat
+    assert sat["root"] > 0 and (inverse or sat["recip"] > 0)
+
+
+@st.composite
+def _narrow_formats(draw):
+    """Stage formats with an accumulator of 8 or 16 bits and any root and
+    recip format the root LUT and the reciprocal accept."""
+    def fmt(totals):
+        total = draw(st.sampled_from(totals))
+        return FixedPointFormat(total, draw(st.integers(0, total - 1)))
+
+    accum, root, recip = fmt([8, 16]), fmt([8, 16, 32]), fmt([8, 16, 32])
+    assume(root.max_value >= 2.0 and recip.max_value >= 2.0)
+    stock = GdnStageFormats.default(16)
+    return GdnStageFormats(input=stock.input, square=stock.square, accum=accum,
+                           root=root, recip=recip, output=stock.output,
+                           param=stock.param)
+
+
+@given(_narrow_formats(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_stage_tables_match_helpers_on_narrow_formats(formats, inverse, seed):
+    top = formats.accum.qmax
+    acc = np.random.default_rng(seed).integers(1, top, 256, endpoint=True)
+    _assert_table_matches_helpers(formats, inverse, np.concatenate([[1, top], acc]))
+
+
+def test_stage_table_built_only_for_narrow_accumulators():
+    rng = np.random.default_rng(5)
+    c = 3
+    params = _params(rng, c)
+    x = Tensor(rng.uniform(-4.0, 4.0, (1, c, 4, 4)))
+    empty = Tensor(np.zeros((1, c, 0, 4)))
+    with mock.patch.object(gdn, "_stage_table", wraps=gdn._stage_table) as spy:
+        for bits in (8, 16, 32):
+            for fn in (gdn_fixed_with_stats, igdn_fixed_with_stats):
+                fn(x, params, GdnStageFormats.default(bits))
+                fn(empty, params, GdnStageFormats.default(bits))
+    assert [call.args for call in spy.call_args_list] == [
+        (GdnStageFormats.default(bits), inverse) for bits in (8, 16) for inverse in (False, True)
+    ]
