@@ -1,20 +1,26 @@
 """Sequential-vs-pipelined execution model for patch streams.
 
 Five codec stages process a stream of P patches on a multi-core
-accelerator. Two schedules are modeled:
+accelerator. Both schedules are evaluated in closed form, so the cost
+does not grow with P unless a trace is kept:
 
 pipelined
     Stages are statically partitioned across cores (contiguous groups,
-    chosen to balance summed compute). Patches flow through the groups
-    as a tandem queue with unlimited buffering; handoffs between groups
-    traverse external memory once per patch but never stall the line.
+    chosen to balance summed compute). The groups form a tandem line
+    with constant service times t_g and unlimited buffers: handoffs
+    between groups traverse external memory once per patch but never
+    stall the line. Group g starts patch p at S_{g-1} + p*M_g, with S
+    the running sum and M the running max of the group times, so the
+    makespan is sum(t_g) + (P - 1)*max(t_g) and core g is busy P*t_g.
 
 sequential
     One stage at a time owns the whole device; its patches spread over
-    all cores whole-patch data-parallel. A fixed launch overhead is paid
-    per stage, and between consecutive stages the intermediate results
-    of every patch are written to and read back from external memory at
-    the configured bandwidth while the cores sit idle.
+    all n cores whole-patch data-parallel, so core c runs
+    (P - c + n - 1) // n patches of each stage and the stage takes
+    ceil(P/n) rounds. A fixed launch overhead is paid per stage, and
+    between consecutive stages the intermediate results of every patch
+    are written to and read back from external memory at the configured
+    bandwidth while the cores sit idle.
 
 Busy time counts compute only, so both schedules conserve work: the sum
 of per-core busy seconds is the same in either mode. All arithmetic is
@@ -26,9 +32,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import combinations
-from math import ceil
 
 from .errors import ParameterError, SimulationError, integral_bits
 from .perf_model import DpuConfig, per_core_effective_ops_per_s
@@ -49,6 +54,10 @@ STAGE_NAMES = (
     "hyper_decoder",
     "main_decoder",
 )
+
+# Far above frame-plan's largest trace (600 patches x 3 stages); each row
+# is a Python tuple, so a trace of this many rows takes about 115 MB.
+MAX_TRACE_ROWS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -81,7 +90,7 @@ class SimResult:
     busy_fraction: float
     bytes_moved: float
     avg_bandwidth_bytes_per_s: float
-    partition: list = field(default_factory=list)  # stage names per core
+    partition: list  # stage names per core
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -123,61 +132,41 @@ def partition_stages(stages, cores: int):
     return best
 
 
-def _stage_times(stages, cfg):
-    rate = per_core_effective_ops_per_s(cfg)
-    return [s.compute_ops / rate for s in stages]
-
-
-def _simulate_pipelined(stages, P, cfg, trace):
-    times = _stage_times(stages, cfg)
-    groups = partition_stages(stages, cfg.cores)
+def _simulate_pipelined(stages, times, P, cores, trace):
+    groups = partition_stages(stages, cores)
     group_t = [sum(times[i] for i in g) for g in groups]
-    ncores = cfg.cores
-
-    finish_prev_patch = [0.0] * len(groups)
-    makespan = 0.0
-    for p in range(P):
-        upstream = 0.0
-        for gi, g in enumerate(groups):
-            start = max(upstream, finish_prev_patch[gi])
-            if trace is not None:
-                t = start
-                for si in g:
-                    trace.append((t, gi, stages[si].name, p))
-                    t += times[si]
-            end = start + group_t[gi]
-            finish_prev_patch[gi] = end
-            upstream = end
-        makespan = upstream
-
-    busy = [0.0] * ncores
-    for gi in range(len(groups)):
-        busy[gi] = P * group_t[gi]
+    rows = []  # per stage: (start of patch 0, M_g, core, name)
+    S = M = 0.0
+    for gi, (g, tg) in enumerate(zip(groups, group_t)):
+        M = max(M, tg)
+        t = S
+        for si in g:
+            rows.append((t, M, gi, stages[si].name))
+            t += times[si]
+        S += tg
+    if trace is not None:
+        trace.extend((t + p * m, gi, name, p)
+                     for p in range(P) for t, m, gi, name in rows)
+    busy = [P * tg for tg in group_t] + [0.0] * (cores - len(groups))
     # handoff between groups crosses external memory once per patch
-    bytes_moved = float(sum(
-        stages[g[-1]].intermediate_bytes for g in groups[:-1]
-    )) * P
-    return makespan, busy, bytes_moved, [
-        [stages[i].name for i in g] for g in groups
-    ]
+    handoff = float(sum(stages[g[-1]].intermediate_bytes for g in groups[:-1]))
+    partition = [[stages[i].name for i in g] for g in groups]
+    return S + (P - 1) * M, busy, handoff * P, partition
 
 
-def _simulate_sequential(stages, P, cfg, launch_overhead_s, trace):
-    times = _stage_times(stages, cfg)
-    ncores = cfg.cores
-    busy = [0.0] * ncores
+def _simulate_sequential(stages, times, P, cfg, launch_overhead_s, trace):
+    n = cfg.cores
+    runs = [(P - c + n - 1) // n for c in range(n)]  # patches per core
+    busy = [0.0] * n
     now = 0.0
     bytes_moved = 0.0
-    for si, stage in enumerate(stages):
+    for si, (stage, t) in enumerate(zip(stages, times)):
         now += launch_overhead_s
-        rounds = ceil(P / ncores)
-        for p in range(P):
-            core = p % ncores
-            slot = p // ncores
-            if trace is not None:
-                trace.append((now + slot * times[si], core, stage.name, p))
-            busy[core] += times[si]
-        now += rounds * times[si]
+        if trace is not None:
+            trace.extend((now + (p // n) * t, p % n, stage.name, p)
+                         for p in range(P))
+        busy = [b + k * t for b, k in zip(busy, runs)]
+        now += runs[0] * t  # core 0 runs the most rounds
         if si < len(stages) - 1:
             nbytes = stage.intermediate_bytes * P
             bytes_moved += 2.0 * nbytes  # write out, read back
@@ -193,12 +182,18 @@ def simulate(stages, patch_count: int, cfg: DpuConfig, mode: str,
     fps normalizes the makespan to frames of `patches_per_frame` patches
     (the whole stream is one frame by default). With collect_trace=True
     returns (SimResult, trace) where trace rows are (time, core, stage,
-    patch) start events.
+    patch) start events. patch_count must lie in [1, 2**53], where a
+    float64 still holds it exactly, and a trace at most MAX_TRACE_ROWS
+    rows; past either bound SimulationError is raised.
     """
     stages = _schedulable(stages)
     patch_count = integral_bits(patch_count, "patch_count")
-    if patch_count < 1:
-        raise SimulationError("patch_count must be >= 1")
+    if not 1 <= patch_count <= 2 ** 53:
+        raise SimulationError("patch_count must be in [1, 2**53]")
+    if collect_trace and len(stages) * patch_count > MAX_TRACE_ROWS:
+        raise SimulationError(
+            f"a trace of {len(stages)} stages x {patch_count} patches "
+            f"exceeds {MAX_TRACE_ROWS} rows")
     if launch_overhead_s < 0:
         raise SimulationError("launch_overhead_s must be >= 0")
     if patches_per_frame is None:
@@ -207,17 +202,17 @@ def simulate(stages, patch_count: int, cfg: DpuConfig, mode: str,
     if patches_per_frame < 1:
         raise SimulationError("patches_per_frame must be >= 1")
 
+    rate = per_core_effective_ops_per_s(cfg)
+    times = [s.compute_ops / rate for s in stages]
     trace = [] if collect_trace else None
     if mode == "pipelined":
-        makespan, busy, bytes_moved, partition = _simulate_pipelined(
-            stages, patch_count, cfg, trace
-        )
+        out = _simulate_pipelined(stages, times, patch_count, cfg.cores, trace)
     elif mode == "sequential":
-        makespan, busy, bytes_moved, partition = _simulate_sequential(
-            stages, patch_count, cfg, launch_overhead_s, trace
-        )
+        out = _simulate_sequential(stages, times, patch_count, cfg,
+                                   launch_overhead_s, trace)
     else:
         raise SimulationError(f"unknown mode {mode!r}")
+    makespan, busy, bytes_moved, partition = out
 
     # a subnormal or zero makespan gives no finite fps
     if not makespan >= sys.float_info.min:
@@ -254,8 +249,9 @@ def student160_encoder_scenario():
     sizes correspond to mid-stack int8 feature maps (roughly 1.5 MB per
     256x256 patch), which sequential execution spills per patch.
 
-    Returns (stages, patch_count, cfg) for a 1280x720 frame of 200
-    overlapping 256-pixel patches at stride 56.
+    Costs are per 256x256 patch at stride 56. Returns (stages,
+    patch_count, cfg) for one 1280x720 frame of 200 overlapping patches;
+    at that stride they cover 14.2x the frame's pixels.
     """
     stages = [
         StageSpec("main_encoder", compute_ops=0.18e9, intermediate_bytes=1.6e6),

@@ -554,6 +554,25 @@ def test_simulate_overflowing_spill_exits_4(tmp_path, capsys, mode):
     assert not (tmp_path / "o" / "sim_report.json").exists()
 
 
+@pytest.mark.parametrize("count, trace, message", [
+    (2 ** 53 + 1, False, "patch_count must be in [1, 2**53]"),
+    (10 ** 400, False, "patch_count must be in [1, 2**53]"),
+    (500_001, True, "exceeds 1000000 rows"),
+], ids=["past-2**53", "10**400", "traced-past-cap"])
+@pytest.mark.parametrize("mode", ["pipelined", "sequential"])
+def test_simulate_patch_count_bounds_exit_4(tmp_path, capsys, mode, count,
+                                            trace, message):
+    cfg = write_json(tmp_path / "sim.json", {
+        "stages": [{"name": "main_encoder", "compute_ops": 1e8},
+                   {"name": "entropy", "compute_ops": 2e7}],
+        "patch_count": count, "mode": mode, "trace": trace,
+    })
+    err = _run_fails(["simulate", "--config", cfg, "--out", str(tmp_path / "o")],
+                     capsys)
+    assert message in err
+    assert not (tmp_path / "o" / "sim_report.json").exists()
+
+
 @pytest.mark.parametrize("raw", [
     b"bpp,psnr_db\n0.1,30\r0.2,31\n0.3,32\n0.4,33\n",
     b"bpp,psnr_db\n0.1,30\n\xff0.2,31\n0.3,32\n0.4,33\n",

@@ -5,8 +5,7 @@ an int, an integral float, a fraction, a negative or huge number, a
 string, null or a list. Hypothesis runs derandomized with a small example
 budget, so the cases are the same on every run. Settings that size an
 allocation or a loop (gdn-bench channels and samples, tile targets, the
-simulator's patch_count and cores, the kd-loss steps) only draw small
-values.
+simulator's cores, the kd-loss steps) only draw small values.
 
 Integer settings take an integral float such as 3.0 as the int 3, so a
 config that writes 3.0 gives the same reports, byte for byte, as one that
@@ -78,8 +77,7 @@ CONFIGS = {
                                                               0.8, 0.8)]},
 }
 
-SIZES = {"channels", "samples", "target_h", "target_w", "patch_count",
-         "cores", "steps"}
+SIZES = {"channels", "samples", "target_h", "target_w", "cores", "steps"}
 
 _SMALL = st.integers(min_value=-2, max_value=24)
 _OTHER = st.one_of(
@@ -189,6 +187,7 @@ def test_simulate_scenario_config_fuzz(case, inputs, capsys):
 @_FUZZ
 @given(case=_cases("simulate-stages"))
 @example(case=(("patch_count",), 4.0))
+@example(case=(("patch_count",), 10 ** 30))
 def test_simulate_stages_config_fuzz(case, inputs, capsys):
     _exits_cleanly("simulate-stages", inputs, case, capsys)
 

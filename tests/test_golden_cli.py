@@ -152,19 +152,19 @@ GOLDEN = {
         "sim_report.csv":
             "4ff33f333a969787c9e32e5ed08bdaf034217c328985561558c24f85dc58b41c",
         "sim_report.json":
-            "9f6c725f7253d56ec0daa69536ea328cd8919aaf5905ceba85dbc59fc38f9a92",
+            "c6da5b33d666659d7225ab0862a86295e6dee1cb397fd983f00f36c9e233a236",
     },
     "simulate-scenario-defaults": {
         "sim_report.csv":
             "ae0d0e048df8962701ba38313dcf22a69119bc05e4a10a8193e32c5f94cf81d4",
         "sim_report.json":
-            "7a23ad715f5505307d0a0becb3804ab293e0a6bcb5dedcb02525574a8057cf0e",
+            "1ed8aa8a9b981e4bda0a78446c1c2533b244c3ee24ea5a74a71a2c69ee6a1f76",
     },
     "simulate-stages-all-keys": {
         "sim_report.csv":
             "b213dcea0951486a87c1c1e87e5f43e3df47916c358eaa704e3825a72fb68e51",
         "sim_report.json":
-            "a9addbf9136b0360999c46837882a64cf8823347e31b36be4d10dac6bc0c7f87",
+            "1933b5093ba586b27de0d9765aa6ea0fe7febf2a16373f70d8652e19ab5799f9",
         "sim_trace_pipelined.csv":
             "801b2972535de7931b8728d7725f2ef02427382a41b1e1f8631b6d493441d65b",
         "sim_trace_sequential.csv":
@@ -174,7 +174,7 @@ GOLDEN = {
         "sim_report.csv":
             "e0f95603185b3dce09a5a2bad10091577ca40d921c17cf7d258e5da6866a417f",
         "sim_report.json":
-            "ad881e9b5bdeee5c6950542b074019e412b2227071368a2bd23a7583dc0fce79",
+            "bbcbc24a90d9d8fed3262eeaaa6080ac4a6b75006ed3fcc9c344e7222f9a7b26",
     },
     "tile-ppm-all-keys": {
         "tiled.ppm":

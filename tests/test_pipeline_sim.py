@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ from lic_hw_kit import (
     student160_encoder_scenario,
 )
 from lic_hw_kit.perf_model import per_core_effective_ops_per_s
+from lic_hw_kit.pipeline_sim import MAX_TRACE_ROWS
 
 STAGE_RATE = per_core_effective_ops_per_s(DpuConfig())
 
@@ -235,3 +237,39 @@ def test_makespan_underflow_rejected(mode, ops):
     stages = [StageSpec("main_encoder", compute_ops=ops)]
     with pytest.raises(SimulationError, match="underflows"):
         simulate(stages, 1, DpuConfig(), mode, launch_overhead_s=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form bounds
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["pipelined", "sequential"])
+def test_huge_untraced_patch_counts_run_in_closed_form(mode):
+    stages, _, cfg = student160_encoder_scenario()
+    t = [s.compute_ops / per_core_effective_ops_per_s(cfg) for s in stages]
+    for P in (10 ** 12, 2 ** 53):
+        start = time.perf_counter()
+        res = simulate(stages, P, cfg, mode)
+        # a per-patch loop would take hours here
+        assert time.perf_counter() - start < 0.1
+        assert math.isclose(sum(res.busy_per_core), P * sum(t), rel_tol=1e-12)
+        assert res.frames == 1.0 and res.fps > 0.0
+
+
+@pytest.mark.parametrize("count", [2 ** 53 + 1, 10 ** 400])
+@pytest.mark.parametrize("mode", ["pipelined", "sequential"])
+def test_patch_count_past_float64_exactness_rejected(mode, count):
+    with pytest.raises(SimulationError, match=r"patch_count must be in \[1, 2\*\*53\]"):
+        simulate(three_stages(), count, DpuConfig(), mode)
+
+
+@pytest.mark.parametrize("mode", ["pipelined", "sequential"])
+def test_trace_row_cap(mode):
+    stages = three_stages()
+    most = MAX_TRACE_ROWS // len(stages)
+    assert 600 * 3 < MAX_TRACE_ROWS  # frame-plan's largest trace fits
+    with pytest.raises(SimulationError, match="exceeds"):
+        simulate(stages, most + 1, DpuConfig(), mode, collect_trace=True)
+    # the cap bounds the trace only
+    assert simulate(stages, most + 1, DpuConfig(), mode).fps > 0.0
