@@ -2,16 +2,21 @@
 
     lic-hw-kit <subcommand> --config <file.json> [--out <dir>]
 
-Every config is validated against a schema (unknown keys are rejected)
-before any computation starts. A key the config leaves out takes the
-default of the library call it feeds; only gdn-bench, which has no
-library counterpart, keeps defaults of its own. Reports are written by
-one writer as CSV and JSON side by side; CSV floats use fixed 6-decimal
-formatting and JSON keeps full precision, so reruns on identical inputs
-are byte-identical.
+A schema states each config's keys (unknown keys are rejected), types
+and required keys; ranges come from the library. Each command builds its
+library objects through _build before reading any input file, so a
+setting out of a constructor's range is a config error that names it.
+The schema keeps a bound only where the library would report it as a
+computation failure (prune's schedule, the scalar gop and plain function
+arguments) and for gdn-bench, which has no library counterpart and keeps
+defaults of its own; any other key left out takes the default of the
+library call it feeds. Reports are CSV and JSON side by side (CSV floats
+at 6 fixed decimals, JSON at full precision), so reruns on identical
+inputs are byte-identical.
 
-Exit codes: 0 success, 2 config/schema error, 3 missing input file,
-4 numeric or format failure during computation.
+Exit codes: 0 success, 2 config error (a setting outside the library's
+range included), 3 missing input file, 4 numeric or format failure
+during computation.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .errors import (
     ConfigError,
     MalformedHeaderError,
     MissingInputError,
+    ParameterError,
     ToolkitError,
     TruncatedPayloadError,
     integral_bits,
@@ -38,20 +44,14 @@ from .gdn import GdnParams, GdnStageFormats, gdn_error_report
 from .kd_loss import KdWeights, PhaseSchedule, kd_loss, plateau_scheduler
 from .model_io import load_model, save_model, save_quantized_model
 from .patching import tile_to_resolution
-from .perf_model import (
-    MAX_CORES,
-    DpuConfig,
-    WorkloadProfile,
-    estimate_fps,
-    peak_ops_per_cycle,
-)
+from .perf_model import DpuConfig, WorkloadProfile, estimate_fps, peak_ops_per_cycle
 from .pipeline_sim import (
     StageSpec,
     simulate,
     student160_encoder_scenario,
 )
 from .pruning import PruneSchedule, iterative_prune
-from .quantizer import WIDTHS, PrecisionPolicy, calibrate, ptq
+from .quantizer import PrecisionPolicy, calibrate, ptq
 from .tensor import Tensor, load_tensor, save_tensor
 
 __all__ = ["main"]
@@ -61,20 +61,21 @@ __all__ = ["main"]
 # Config plumbing
 # ---------------------------------------------------------------------------
 
-_BITS = {"type": "integer", "minimum": WIDTHS[0], "maximum": WIDTHS[1]}
+_INT = {"type": "integer"}
+_NUMBER = {"type": "number"}
 
 _DPU_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
-        "pixel_parallel": {"type": "integer", "minimum": 1},
-        "input_channel_parallel": {"type": "integer", "minimum": 1},
-        "output_channel_parallel": {"type": "integer", "minimum": 1},
-        "cores": {"type": "integer", "minimum": 1, "maximum": MAX_CORES},
-        "freq_hz": {"type": "number", "exclusiveMinimum": 0},
-        "eta": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        "mem_bandwidth_bytes_per_s": {"type": "number", "exclusiveMinimum": 0},
-        "workload_scale": {"type": "number", "exclusiveMinimum": 0},
+        "pixel_parallel": _INT,
+        "input_channel_parallel": _INT,
+        "output_channel_parallel": _INT,
+        "cores": _INT,
+        "freq_hz": _NUMBER,
+        "eta": _NUMBER,
+        "mem_bandwidth_bytes_per_s": _NUMBER,
+        "workload_scale": _NUMBER,
     },
 }
 
@@ -82,11 +83,7 @@ _WEIGHTS_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "required": ["alpha", "beta", "gamma"],
-    "properties": {
-        "alpha": {"type": "number", "minimum": 0},
-        "beta": {"type": "number", "minimum": 0},
-        "gamma": {"type": "number", "minimum": 0},
-    },
+    "properties": {"alpha": _NUMBER, "beta": _NUMBER, "gamma": _NUMBER},
 }
 
 SCHEMAS = {
@@ -103,11 +100,11 @@ SCHEMAS = {
                 "type": "object",
                 "additionalProperties": False,
                 "properties": {
-                    "default_bits": _BITS,
-                    "gdn_bits": _BITS,
+                    "default_bits": _INT,
+                    "gdn_bits": _INT,
                     "overrides": {
                         "type": "object",
-                        "patternProperties": {r"^\d+$": _BITS},
+                        "patternProperties": {r"^\d+$": _INT},
                         "additionalProperties": False,
                     },
                 },
@@ -152,9 +149,7 @@ SCHEMAS = {
                                 {
                                     "type": "object",
                                     "minProperties": 1,
-                                    "additionalProperties": {
-                                        "type": "number", "minimum": 0,
-                                    },
+                                    "additionalProperties": _NUMBER,
                                 },
                             ],
                         },
@@ -178,8 +173,8 @@ SCHEMAS = {
                     "required": ["name", "compute_ops"],
                     "properties": {
                         "name": {"type": "string"},
-                        "compute_ops": {"type": "number", "exclusiveMinimum": 0},
-                        "intermediate_bytes": {"type": "number", "minimum": 0},
+                        "compute_ops": _NUMBER,
+                        "intermediate_bytes": _NUMBER,
                     },
                 },
             },
@@ -229,9 +224,9 @@ SCHEMAS = {
             "lambda": {"type": "number", "minimum": 0},
             "weights_early": _WEIGHTS_SCHEMA,
             "weights_late": _WEIGHTS_SCHEMA,
-            "plateau_window": {"type": "integer", "minimum": 2},
-            "plateau_threshold": {"type": "number", "exclusiveMinimum": 0},
-            "max_phase_steps": {"type": "integer", "minimum": 1},
+            "plateau_window": _INT,
+            "plateau_threshold": _NUMBER,
+            "max_phase_steps": _INT,
             "steps": {
                 "type": "array",
                 "minItems": 1,
@@ -280,8 +275,13 @@ def _given(cfg: dict, *keys) -> dict:
     return {k: cfg[k] for k in keys if k in cfg}
 
 
-def _dpu_from(cfg: dict) -> DpuConfig:
-    return DpuConfig(**cfg.get("dpu", {}))
+def _build(make, *args, **kwargs):
+    """make(*args, **kwargs), whose ParameterError (a config value out of
+    the library's range) becomes a ConfigError that names the setting."""
+    try:
+        return make(*args, **kwargs)
+    except ParameterError as e:
+        raise ConfigError(str(e)) from e
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +392,12 @@ def _read_image(path: str) -> tuple:
 
 def cmd_quantize(args) -> int:
     cfg = _load_config(args.config, "quantize")
-    model = load_model(_read_bytes(cfg["model"]))
-    calib = [load_tensor(_read_bytes(p)) for p in cfg["calibration"]]
     pol = dict(cfg.get("policy", {}))
     if "overrides" in pol:
         pol["overrides"] = {int(k): v for k, v in pol["overrides"].items()}
-    policy = PrecisionPolicy(**pol)
+    policy = _build(PrecisionPolicy, **pol)
+    model = load_model(_read_bytes(cfg["model"]))
+    calib = [load_tensor(_read_bytes(p)) for p in cfg["calibration"]]
     qm = ptq(model, calibrate(model, calib), policy)
 
     out = _out_dir(args)
@@ -439,13 +439,13 @@ def cmd_prune(args) -> int:
 
 def cmd_estimate(args) -> int:
     cfg = _load_config(args.config, "estimate")
-    dpu = _dpu_from(cfg)
+    dpu = _build(DpuConfig, **cfg.get("dpu", {}))
+    gops = [item["gop"] for item in cfg["workloads"]]
+    profiles = [_build(WorkloadProfile.from_gop,
+                       g if isinstance(g, dict) else {"total": g}) for g in gops]
     per_core, total = peak_ops_per_cycle(dpu)
     rows = []
-    for item in cfg["workloads"]:
-        gop = item["gop"]
-        per_role = gop if isinstance(gop, dict) else {"total": gop}
-        wl = WorkloadProfile.from_gop(per_role)
+    for item, wl in zip(cfg["workloads"], profiles):
         est = estimate_fps(dpu, wl)
         rows.append({
             "name": item["name"],
@@ -471,13 +471,13 @@ def cmd_simulate(args) -> int:
             raise ConfigError("give either a scenario or explicit stages")
         stages, patch_count, dpu = student160_encoder_scenario()
         if "dpu" in cfg:
-            dpu = _dpu_from(cfg)
+            dpu = _build(DpuConfig, **cfg["dpu"])
     else:
         if "stages" not in cfg or "patch_count" not in cfg:
             raise ConfigError("explicit runs need both stages and patch_count")
-        stages = [StageSpec(**s) for s in cfg["stages"]]
+        stages = [_build(StageSpec, **s) for s in cfg["stages"]]
         patch_count = cfg["patch_count"]
-        dpu = _dpu_from(cfg)
+        dpu = _build(DpuConfig, **cfg.get("dpu", {}))
 
     mode = cfg.get("mode", "both")
     modes = ["sequential", "pipelined"] if mode == "both" else [mode]
@@ -599,9 +599,9 @@ def cmd_tile(args) -> int:
 
 def cmd_kd_loss(args) -> int:
     cfg = _load_config(args.config, "kd-loss")
-    phase_weights = {p: KdWeights(**cfg[f"weights_{p}"])
+    phase_weights = {p: _build(KdWeights, **cfg[f"weights_{p}"])
                      for p in ("early", "late") if f"weights_{p}" in cfg}
-    schedule = PhaseSchedule(**phase_weights, **_given(
+    schedule = _build(PhaseSchedule, **phase_weights, **_given(
         cfg, "plateau_window", "plateau_threshold", "max_phase_steps"))
     lam = cfg["lambda"]
 

@@ -18,6 +18,7 @@ level is the image itself, so it is deterministic and injective.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,10 @@ class KdWeights:
     gamma: float
 
     def __post_init__(self):
-        if min(self.alpha, self.beta, self.gamma) < 0:
-            raise ParameterError("loss weights must be non-negative")
+        for name in ("alpha", "beta", "gamma"):
+            w = getattr(self, name)
+            if not 0 <= w < math.inf:
+                raise ParameterError(f"{name} must be finite and >= 0; got {w!r}")
         if self.alpha == self.beta == self.gamma == 0:
             raise ParameterError("at least one loss weight must be positive")
 

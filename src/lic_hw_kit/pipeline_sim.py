@@ -75,8 +75,9 @@ class StageSpec:
             )
         if not self.compute_ops > 0:
             raise ParameterError("compute_ops must be positive")
-        if self.intermediate_bytes < 0:
-            raise ParameterError("intermediate_bytes must be >= 0")
+        if not self.intermediate_bytes >= 0:
+            raise ParameterError(
+                f"intermediate_bytes must be >= 0; got {self.intermediate_bytes!r}")
 
 
 @dataclass
@@ -194,8 +195,9 @@ def simulate(stages, patch_count: int, cfg: DpuConfig, mode: str,
         raise SimulationError(
             f"a trace of {len(stages)} stages x {patch_count} patches "
             f"exceeds {MAX_TRACE_ROWS} rows")
-    if launch_overhead_s < 0:
-        raise SimulationError("launch_overhead_s must be >= 0")
+    if not launch_overhead_s >= 0:
+        raise SimulationError(
+            f"launch_overhead_s must be >= 0; got {launch_overhead_s!r}")
     if patches_per_frame is None:
         patches_per_frame = patch_count
     patches_per_frame = integral_bits(patches_per_frame, "patches_per_frame")

@@ -196,10 +196,12 @@ class PrecisionPolicy:
             )
         for name in ("default_bits", "gdn_bits"):
             object.__setattr__(self, name,
-                               integral_bits(getattr(self, name), "bit widths", *WIDTHS))
-        object.__setattr__(self, "overrides", {
-            integral_bits(li, "override layer indices"):
-            integral_bits(b, "bit widths", *WIDTHS) for li, b in self.overrides.items()})
+                               integral_bits(getattr(self, name), name, *WIDTHS))
+        overrides = {}
+        for li, b in self.overrides.items():
+            li = integral_bits(li, "override layer indices")
+            overrides[li] = integral_bits(b, f"override bits of layer {li}", *WIDTHS)
+        object.__setattr__(self, "overrides", overrides)
 
     def resolve(self, layer_index: int, layer) -> int:
         if layer_index in self.overrides:

@@ -593,3 +593,93 @@ def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     err = _run_fails(["estimate", "--config", str(cfg), "--out", str(tmp_path)],
                      capsys, code=2)
     assert "config is not valid JSON" in err
+
+
+# ---------------------------------------------------------------------------
+# Ranges come from the library: a config value outside one exits 2
+# ---------------------------------------------------------------------------
+
+BELOW_ZERO = -5e-324  # one step below a bound of 0
+_KD_WEIGHTS = {"alpha": 1.0, "beta": 0.1, "gamma": 0.5}
+_BASES = {
+    "estimate": {"workloads": [{"name": "w", "gop": 1.0}]},
+    "simulate": {"stages": [{"name": "main_encoder", "compute_ops": 1e8,
+                             "intermediate_bytes": 1e6},
+                            {"name": "entropy", "compute_ops": 2e7}],
+                 "patch_count": 4},
+    "kd-loss": {"lambda": 0.5, "steps": kd_steps(3)},
+}
+_DPU_PAST_BOUNDS = [
+    ({"pixel_parallel": 0}, "pixel_parallel"),
+    ({"input_channel_parallel": 0}, "input_channel_parallel"),
+    ({"output_channel_parallel": 0}, "output_channel_parallel"),
+    ({"cores": 0}, "cores"),
+    ({"cores": MAX_CORES + 1}, "cores"),
+    ({"freq_hz": 0}, "freq_hz"),
+    ({"eta": 0}, "eta"),
+    ({"eta": math.nextafter(1.0, 2.0)}, "eta"),
+    ({"mem_bandwidth_bytes_per_s": 0}, "mem_bandwidth_bytes_per_s"),
+    ({"workload_scale": 0}, "workload_scale"),
+]
+
+# (command, keys set over the command's base config, setting named on stderr)
+OUTSIDE_LIBRARY_RANGES = [
+    ("quantize", {"default_bits": 33}, "default_bits"),
+    ("quantize", {"gdn_bits": 1}, "gdn_bits"),
+    ("quantize", {"overrides": {"0": 1}}, "layer 0"),
+    *[(command, {"dpu": dpu}, name) for command in ("estimate", "simulate")
+      for dpu, name in _DPU_PAST_BOUNDS],
+    # every workload is built before the first estimate, which here would
+    # fail with exit 4 on a compute time that is not finite
+    ("estimate", {"workloads": [{"name": "huge", "gop": 1e300},
+                                {"name": "w", "gop": {"entropy": BELOW_ZERO}}]},
+     "entropy"),
+    ("simulate", {"stages": [{"name": "entropy", "compute_ops": 0}]},
+     "compute_ops"),
+    ("simulate", {"stages": [{"name": "entropy", "compute_ops": 1e8,
+                              "intermediate_bytes": BELOW_ZERO}]},
+     "intermediate_bytes"),
+    ("kd-loss", {"weights_early": {**_KD_WEIGHTS, "alpha": BELOW_ZERO}}, "alpha"),
+    ("kd-loss", {"weights_late": {**_KD_WEIGHTS, "beta": BELOW_ZERO}}, "beta"),
+    ("kd-loss", {"weights_early": {**_KD_WEIGHTS, "gamma": BELOW_ZERO}}, "gamma"),
+    ("kd-loss", {"plateau_window": 1}, "plateau_window"),
+    ("kd-loss", {"plateau_threshold": 0}, "plateau_threshold"),
+    ("kd-loss", {"max_phase_steps": 0}, "max_phase_steps"),
+    # values no schema bound covered, which only the library rejects
+    ("kd-loss", {"weights_early": {"alpha": 0, "beta": 0, "gamma": 0}},
+     "loss weight"),
+    ("kd-loss", {"weights_early": {**_KD_WEIGHTS, "alpha": math.nan}}, "alpha"),
+    ("simulate", {"stages": [{"name": "decoder", "compute_ops": 1e8}]},
+     "stage name"),
+    ("simulate", {"dpu": {"freq_hz": math.nan}}, "freq_hz"),
+]
+
+
+def _config_with(tmp_path, rng, model_file, command, keys):
+    if command == "quantize":  # keys are the policy's
+        return quantize_config(tmp_path, rng, model_file[0], **keys)
+    return write_json(tmp_path / "cfg.json", {**_BASES[command], **keys})
+
+
+@pytest.mark.parametrize("command, keys, setting", OUTSIDE_LIBRARY_RANGES,
+                         ids=[f"{c}-{s}-{i}" for i, (c, _, s)
+                              in enumerate(OUTSIDE_LIBRARY_RANGES)])
+def test_value_outside_a_library_range_exits_2_naming_it(tmp_path, rng,
+                                                         model_file, capsys,
+                                                         command, keys, setting):
+    cfg = _config_with(tmp_path, rng, model_file, command, keys)
+    out = tmp_path / "o"
+    err = _run_fails([command, "--config", cfg, "--out", str(out)], capsys, code=2)
+    assert setting in err
+    assert not out.exists()
+
+
+def test_quantize_range_error_beats_missing_model(tmp_path, capsys):
+    cfg = write_json(tmp_path / "q.json", {
+        "model": str(tmp_path / "ghost.bin"),
+        "calibration": [str(tmp_path / "ghost.tns")],
+        "policy": {"default_bits": 64},
+    })
+    err = _run_fails(["quantize", "--config", cfg, "--out", str(tmp_path / "o")],
+                     capsys, code=2)
+    assert "default_bits must be at most 32; got 64" in err

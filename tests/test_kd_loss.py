@@ -38,6 +38,15 @@ def test_weights_validation():
     KdWeights(alpha=0.0, beta=0.0, gamma=1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -5e-324])
+@pytest.mark.parametrize("name", ["alpha", "beta", "gamma"])
+def test_weights_reject_non_finite_and_negative_in_any_position(name, bad):
+    # a check through min() skipped NaN unless it came first
+    weights = {"alpha": 1.0, "beta": 0.1, "gamma": 0.5, name: bad}
+    with pytest.raises(ParameterError, match=f"{name} must be finite and >= 0"):
+        KdWeights(**weights)
+
+
 @given(finite, finite, finite, finite, finite, weight, weight, weight)
 @settings(max_examples=200, deadline=None)
 def test_breakdown_identity(ll, lp, rate, dist, lam, a, b, g):

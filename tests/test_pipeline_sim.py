@@ -41,6 +41,13 @@ def test_stage_spec_validation():
         StageSpec("entropy", compute_ops=1.0, intermediate_bytes=-1.0)
 
 
+def test_stage_spec_rejects_nan_intermediate_bytes():
+    # NaN on a stage that is not the last used to surface later as an
+    # underflowing sequential makespan
+    with pytest.raises(ParameterError, match="intermediate_bytes must be >= 0"):
+        StageSpec("main_encoder", compute_ops=1e8, intermediate_bytes=math.nan)
+
+
 def test_partition_balances_largest_group():
     stages = three_stages(a=10.0, b=1.0, c=1.0, xa=0.0, xb=0.0)
     groups = partition_stages(stages, cores=2)
@@ -228,6 +235,12 @@ def test_simulate_validation():
         simulate(stages, 10, DpuConfig(), "sequential", launch_overhead_s=-1.0)
     with pytest.raises(SimulationError):
         simulate(stages, 10, DpuConfig(), "pipelined", patches_per_frame=0)
+
+
+@pytest.mark.parametrize("mode", ["pipelined", "sequential"])
+def test_simulate_rejects_nan_launch_overhead(mode):
+    with pytest.raises(SimulationError, match="launch_overhead_s must be >= 0"):
+        simulate(three_stages(), 10, DpuConfig(), mode, launch_overhead_s=math.nan)
 
 
 @pytest.mark.parametrize("ops", [5e-324, 1e-300])

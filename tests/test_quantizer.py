@@ -209,6 +209,16 @@ def test_policy_rejects_non_integral_widths(kwargs):
         PrecisionPolicy(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"default_bits": 33}, "default_bits must be at most 32; got 33"),
+    ({"gdn_bits": 1}, "gdn_bits must be >= 2; got 1"),
+    ({"overrides": {3: 64}}, "override bits of layer 3 must be at most 32; got 64"),
+])
+def test_policy_range_errors_name_the_setting(kwargs, name):
+    with pytest.raises(ParameterError, match=f"^{name}$"):
+        PrecisionPolicy(**kwargs)
+
+
 @pytest.mark.parametrize("overrides", [None, [8]])
 def test_policy_rejects_overrides_that_are_not_a_mapping(overrides):
     with pytest.raises(ParameterError, match="overrides"):
