@@ -3,16 +3,18 @@
     lic-hw-kit <subcommand> --config <file.json> [--out <dir>]
 
 A schema states each config's keys (unknown keys are rejected), types
-and required keys; ranges come from the library. Each command builds its
+and required keys, and refuses an integer too large for a float64 at a
+number-typed key; ranges come from the library. Each command builds its
 library objects through _build before reading any input file, so a
 setting out of a constructor's range is a config error that names it.
 The schema keeps a bound only where the library would report it as a
 computation failure (prune's schedule, the scalar gop and plain function
 arguments) and for gdn-bench, which has no library counterpart and keeps
-defaults of its own; any other key left out takes the default of the
-library call it feeds. Reports are CSV and JSON side by side (CSV floats
-at 6 fixed decimals, JSON at full precision), so reruns on identical
-inputs are byte-identical.
+defaults of its own (its widths are those GdnStageFormats.default
+accepts); any other key left out takes the default of the library call
+it feeds. Reports are CSV and JSON side by side (CSV floats at 6 fixed
+decimals, JSON at full precision), so reruns on identical inputs are
+byte-identical.
 
 Exit codes: 0 success, 2 config error (a setting outside the library's
 range included), 3 missing input file, 4 numeric or format failure
@@ -62,7 +64,18 @@ __all__ = ["main"]
 # ---------------------------------------------------------------------------
 
 _INT = {"type": "integer"}
-_NUMBER = {"type": "number"}
+# json reads 1e400 as inf but keeps 10**400 an exact int, which no float
+# arithmetic takes; every number-typed key refuses such an int here
+_NUMBER = {"type": "number", "format": "float64"}
+_FORMATS = jsonschema.FormatChecker(formats=())
+
+
+@_FORMATS.checks("float64", raises=OverflowError)
+def _fits_float64(value) -> bool:
+    if isinstance(value, int):
+        float(value)
+    return True
+
 
 _DPU_SCHEMA = {
     "type": "object",
@@ -118,7 +131,7 @@ SCHEMAS = {
         "properties": {
             "model": {"type": "string"},
             "fraction_per_iteration": {
-                "type": "number", "minimum": 0, "exclusiveMaximum": 1,
+                **_NUMBER, "minimum": 0, "exclusiveMaximum": 1,
             },
             "iterations": {"type": "integer", "minimum": 1},
             "prune_hyperprior": {"type": "boolean"},
@@ -145,7 +158,7 @@ SCHEMAS = {
                         "name": {"type": "string"},
                         "gop": {
                             "anyOf": [
-                                {"type": "number", "exclusiveMinimum": 0},
+                                {**_NUMBER, "exclusiveMinimum": 0},
                                 {
                                     "type": "object",
                                     "minProperties": 1,
@@ -181,7 +194,7 @@ SCHEMAS = {
             "patch_count": {"type": "integer", "minimum": 1},
             "patches_per_frame": {"type": "integer", "minimum": 1},
             "mode": {"type": "string", "enum": ["sequential", "pipelined", "both"]},
-            "launch_overhead_s": {"type": "number", "minimum": 0},
+            "launch_overhead_s": {**_NUMBER, "minimum": 0},
             "trace": {"type": "boolean"},
         },
     },
@@ -192,17 +205,14 @@ SCHEMAS = {
             "channels": {"type": "integer", "minimum": 1},
             "samples": {"type": "integer", "minimum": 1},
             "seed": {"type": "integer", "minimum": 0},
-            "low": {"type": "number"},
-            "high": {"type": "number"},
+            "low": _NUMBER,
+            "high": _NUMBER,
             "beta_range": {
                 "type": "array", "minItems": 2, "maxItems": 2,
-                "items": {"type": "number", "exclusiveMinimum": 0},
+                "items": {**_NUMBER, "exclusiveMinimum": 0},
             },
-            "gamma_scale": {"type": "number", "minimum": 0},
-            "total_bits": {
-                "type": "array", "minItems": 1,
-                "items": {"type": "integer", "enum": [8, 16, 32]},
-            },
+            "gamma_scale": {**_NUMBER, "minimum": 0},
+            "total_bits": {"type": "array", "minItems": 1, "items": _INT},
             "inverse": {"type": "boolean"},
         },
     },
@@ -221,7 +231,7 @@ SCHEMAS = {
         "additionalProperties": False,
         "required": ["lambda", "steps"],
         "properties": {
-            "lambda": {"type": "number", "minimum": 0},
+            "lambda": {**_NUMBER, "minimum": 0},
             "weights_early": _WEIGHTS_SCHEMA,
             "weights_late": _WEIGHTS_SCHEMA,
             "plateau_window": _INT,
@@ -235,10 +245,10 @@ SCHEMAS = {
                     "additionalProperties": False,
                     "required": ["l_latent", "l_perceptual", "rate", "distortion"],
                     "properties": {
-                        "l_latent": {"type": "number"},
-                        "l_perceptual": {"type": "number"},
-                        "rate": {"type": "number"},
-                        "distortion": {"type": "number"},
+                        "l_latent": _NUMBER,
+                        "l_perceptual": _NUMBER,
+                        "rate": _NUMBER,
+                        "distortion": _NUMBER,
                     },
                 },
             },
@@ -256,9 +266,11 @@ def _load_config(path: str, schema_name: str) -> dict:
     except ValueError as e:  # bad UTF-8, bad JSON or an over-long integer
         raise ConfigError(f"config is not valid JSON: {e}") from e
     try:
-        jsonschema.validate(cfg, SCHEMAS[schema_name])
+        jsonschema.validate(cfg, SCHEMAS[schema_name], format_checker=_FORMATS)
     except jsonschema.ValidationError as e:
-        raise ConfigError(f"config rejected: {e.message}") from e
+        why = (f"{e.json_path} is an integer too large for a float64"
+               if e.validator == "format" else e.message)
+        raise ConfigError(f"config rejected: {why}") from e
     return cfg
 
 
@@ -543,6 +555,7 @@ def cmd_gdn_bench(args) -> int:
     beta_lo, beta_hi = cfg.get("beta_range", [1.0, 2.0])
     gamma_scale = cfg.get("gamma_scale", 0.1)
     widths = [integral_bits(b) for b in cfg.get("total_bits", [32, 16, 8])]
+    formats = [_build(GdnStageFormats.default, b) for b in widths]
     inverse = cfg.get("inverse", False)
     f32_max = float(np.finfo(np.float32).max)
     if not (-f32_max <= low <= high <= f32_max and beta_lo <= beta_hi):
@@ -559,9 +572,8 @@ def cmd_gdn_bench(args) -> int:
 
     rows = []
     stage_detail = {}
-    for bits in widths:
-        rep = gdn_error_report(params, GdnStageFormats.default(bits), corpus,
-                               inverse=inverse)
+    for bits, fmts in zip(widths, formats):
+        rep = gdn_error_report(params, fmts, corpus, inverse=inverse)
         rows.append({
             "total_bits": bits,
             "max_abs_error": rep.max_abs_error,

@@ -379,13 +379,8 @@ def _recip_seed_table(fmt: FixedPointFormat):
     return size, seeds
 
 
-def _reciprocal_q(d_int, fmt: FixedPointFormat):
-    """Reciprocal on Q-format integers. Returns (q, n_saturated)."""
-    return saturate_q(_reciprocal_unclamped(d_int, fmt), fmt)
-
-
 def _reciprocal_unclamped(d_int, fmt: FixedPointFormat):
-    """_reciprocal_q before the final clamp to the format limits."""
+    """Reciprocal of positive Q-format integers, before the clamp to fmt."""
     d_int = np.asarray(d_int, dtype=np.int64)
     if d_int.size == 0:
         return d_int.copy()
@@ -426,7 +421,7 @@ def reciprocal_fixed(d, fmt: FixedPointFormat = FixedPointFormat(32, 24)):
     d_int, _ = to_fixed(arr, fmt)
     if arr.size and d_int.min() <= 0:
         raise DomainError("reciprocal requires input >= one format step")
-    q, _ = _reciprocal_q(d_int, fmt)
+    q, _ = saturate_q(_reciprocal_unclamped(d_int, fmt), fmt)
     out = from_fixed(q, fmt)
     return float(out) if np.isscalar(d) or arr.ndim == 0 else out
 
@@ -444,7 +439,7 @@ def reciprocal_error_bound(fmt: FixedPointFormat = FixedPointFormat(32, 24),
     one = 1 << f
     count = min(samples, one)
     pts = one + (np.arange(count, dtype=np.int64) * one) // count
-    q, _ = _reciprocal_q(pts, fmt)
+    q, _ = saturate_q(_reciprocal_unclamped(pts, fmt), fmt)
     approx = from_fixed(q, fmt)
     exact = 1.0 / (pts * fmt.ulp)
     return float(np.max(np.abs(approx - exact) / exact))

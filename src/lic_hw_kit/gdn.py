@@ -117,15 +117,18 @@ def _channel_mix(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (gamma @ v.reshape(n, c, math.prod(v.shape[2:]))).reshape(v.shape)
 
 
+def _check_channels(x: Tensor, params: GdnParams):
+    if x.c != params.channels:
+        raise ShapeError(f"input has {x.c} channels but gdn params expect "
+                         f"{params.channels}")
+
+
 def _pool(x: Tensor, params: GdnParams) -> np.ndarray:
     """beta_i + sum_j gamma_ij * x_j**2 in float64, checked strictly
     positive. The channel sum runs through _channel_mix, so BLAS may add
     in any order; in float64 the effect of that order stays far below the
     float32 rounding of the outputs."""
-    if x.c != params.channels:
-        raise ShapeError(
-            f"input has {x.c} channels but gdn params expect {params.channels}"
-        )
+    _check_channels(x, params)
     sq = x.data.astype(np.float64) ** 2
     acc = _channel_mix(params.gamma, sq)
     base = acc + params.beta[None, :, None, None]
@@ -288,11 +291,6 @@ def _sqrt_unclamped(acc_q, acc_fmt, lut: SqrtLut, out_fmt):
     return shift_round(val, f_l - out_fmt.frac_bits - k)
 
 
-def _sqrt_range_reduced(acc_q, acc_fmt, lut: SqrtLut, out_fmt):
-    """The root stage: (root_q, n_saturated)."""
-    return saturate_q(_sqrt_unclamped(acc_q, acc_fmt, lut, out_fmt), out_fmt)
-
-
 def _recip_clamps(root_q, root_fmt, recip_fmt):
     """The reciprocal stage: (recip_q, moved_in, moved_out), with the
     masks of the elements that the clamp of the shifted root into
@@ -305,20 +303,15 @@ def _recip_clamps(root_q, root_fmt, recip_fmt):
     return q, moved_in, moved_out
 
 
-def _recip_stage(root_q, root_fmt, recip_fmt):
-    """The reciprocal stage: (recip_q, n_saturated)."""
-    q, moved_in, moved_out = _recip_clamps(root_q, root_fmt, recip_fmt)
-    return q, int(np.count_nonzero(moved_in)) + int(np.count_nonzero(moved_out))
-
-
-def _scale_stages(acc, lut, formats, inverse):
+def _scale_stages(acc, formats, inverse):
     """The root and (gdn only) reciprocal stages on accumulator values
     floored at 1, element by element. Returns (scale_q, clamps): the
     integer the input is multiplied by, on the root grid for igdn and the
     recip grid for gdn, and a list of (stage, mask of the elements one of
     that stage's clamps moved)."""
     f_root = formats.root
-    root, moved = _clamp(_sqrt_unclamped(acc, formats.accum, lut, f_root), f_root)
+    root = _sqrt_unclamped(acc, formats.accum, _lut_for(f_root), f_root)
+    root, moved = _clamp(root, f_root)
     root = np.maximum(root, 1)
     if inverse:
         return root, [("root", moved)]
@@ -334,7 +327,7 @@ def _stage_table(formats: GdnStageFormats, inverse: bool):
     reaches, repeats entry 1. The arrays are read-only, as every caller
     shares them."""
     acc = np.maximum(np.arange(formats.accum.qmax + 1, dtype=np.int64), 1)
-    scale, clamps = _scale_stages(acc, _lut_for(formats.root), formats, inverse)
+    scale, clamps = _scale_stages(acc, formats, inverse)
     clamps = [(s, m) for s, m in clamps if m.any()]
     for a in (scale, *(m for _, m in clamps)):
         a.flags.writeable = False
@@ -344,12 +337,8 @@ def _stage_table(formats: GdnStageFormats, inverse: bool):
 def _fixed_pipeline(x: Tensor, params: GdnParams, formats: GdnStageFormats,
                     inverse: bool):
     _require_half_alpha(params)
-    if x.c != params.channels:
-        raise ShapeError(
-            f"input has {x.c} channels but gdn params expect {params.channels}"
-        )
+    _check_channels(x, params)
     beta_q, gamma_q = _quantize_params(params, formats)
-    lut = _lut_for(formats.root)
     # a table costs at most one block to build; an empty input builds none,
     # so a recip format that cannot hold 2 still raises only on data
     table = (_stage_table(formats, inverse)
@@ -365,12 +354,11 @@ def _fixed_pipeline(x: Tensor, params: GdnParams, formats: GdnStageFormats,
     for i in range(0, n, imgs):
         for p in range(0, hw, per):
             blk = np.s_[i:i + imgs, :, p:p + per]
-            ov[blk] = _fixed_block(xv[blk], beta_q, gamma_q, lut, table, formats,
-                                   inverse, sat)
+            ov[blk] = _fixed_block(xv[blk], beta_q, gamma_q, table, formats, inverse, sat)
     return Tensor._adopt(out), sat
 
 
-def _fixed_block(x, beta_q, gamma_q, lut, table, formats, inverse, sat):
+def _fixed_block(x, beta_q, gamma_q, table, formats, inverse, sat):
     """The pipeline on one (N, C, P) block of the input: the float64
     output values. Adds the block's saturation counts into sat. With a
     _stage_table, the root and reciprocal stages are gathers from it."""
@@ -393,7 +381,7 @@ def _fixed_block(x, beta_q, gamma_q, lut, table, formats, inverse, sat):
     acc = np.maximum(acc, 1)
 
     if table is None:
-        scale_q, clamps = _scale_stages(acc, lut, formats, inverse)
+        scale_q, clamps = _scale_stages(acc, formats, inverse)
     else:
         scale, masks = table
         scale_q = scale[acc]
@@ -459,42 +447,41 @@ def _grid_q(v, frac_bits: int, limit: int):
 
 
 def _hybrid_pipeline(x, params, formats, stage, inverse):
-    """Float64 pipeline with exactly one stage quantized.
+    """Float64 pipeline with exactly one stage quantized, or none for a
+    stage outside STAGES.
 
     Used to attribute error per stage; the isolated contributions are
-    diagnostics and do not sum to the full-pipeline error.
+    diagnostics and do not sum to the full-pipeline error. Each float
+    stage is the float reference's own arithmetic (the pool is _pool's
+    _channel_mix) and each quantized one runs the datapath's helpers.
     """
-    # einsum, not _channel_mix: a GEMM's sum order moves gdn-bench's digits
     xv = x.data.astype(np.float64)
     if stage == "input":
         xv = _snap(xv, formats.input)
     sq = xv ** 2
     if stage == "square":
         sq = _snap(sq, formats.square)
+    gamma, beta = params.gamma, params.beta
     if stage == "accum":
         beta_q, gamma_q = _quantize_params(params, formats)
-        beta = from_fixed(beta_q, formats.accum)
         gamma = from_fixed(gamma_q, formats.param)
-        acc = np.einsum("ij,njhw->nihw", gamma, sq) + beta[None, :, None, None]
+        beta = from_fixed(beta_q, formats.accum)
+    acc = _channel_mix(gamma, sq) + beta[None, :, None, None]
+    if stage == "accum":
         acc = np.maximum(_snap(acc, formats.accum), formats.accum.ulp)
-    else:
-        acc = np.einsum("ij,njhw->nihw", params.gamma, sq) \
-            + params.beta[None, :, None, None]
     if stage == "root":
-        lut = _lut_for(formats.root)
         acc_q = _grid_q(acc, formats.accum.frac_bits, 1 << 62)
-        root_q, _ = _sqrt_range_reduced(acc_q, formats.accum, lut, formats.root)
-        root = from_fixed(np.maximum(root_q, 1), formats.root)
+        root = from_fixed(_scale_stages(acc_q, formats, inverse=True)[0], formats.root)
     else:
         root = np.sqrt(acc)
     if inverse:
         out = xv * root
     elif stage == "recip":
-        # _recip_stage shifts root_q left by lift bits: at most 2**62, which
-        # is still past every recip qmax, so the clamp changes no output
+        # _recip_clamps shifts root_q left by lift bits: at most 2**62,
+        # which is still past every recip qmax, so the clamp changes no output
         lift = max(0, formats.recip.frac_bits - formats.root.frac_bits)
         root_q = _grid_q(root, formats.root.frac_bits, 1 << (62 - lift))
-        recip_q, _ = _recip_stage(root_q, formats.root, formats.recip)
+        recip_q = _recip_clamps(root_q, formats.root, formats.recip)[0]
         out = xv * from_fixed(recip_q, formats.recip)
     else:
         out = xv / root
@@ -528,8 +515,10 @@ def gdn_error_report(params: GdnParams, formats: GdnStageFormats,
     """Compare the fixed-point pipeline against the float reference.
 
     stage_contribution holds, for each stage, the max error of a float
-    pipeline with only that stage quantized. Deterministic for a fixed
-    corpus.
+    pipeline with only that stage quantized. Every other stage of that
+    pipeline is the float reference's own arithmetic, so a contribution
+    measures its stage's quantization and nothing else. Deterministic for
+    a fixed corpus.
     """
     _require_half_alpha(params)
     ref = igdn_float(corpus, params) if inverse else gdn_float(corpus, params)

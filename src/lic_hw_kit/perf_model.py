@@ -65,6 +65,16 @@ class DpuConfig:
             raise ParameterError("mem_bandwidth_bytes_per_s must be positive")
         if not self.workload_scale > 0:
             raise ParameterError("workload_scale must be positive")
+        try:
+            rate = effective_ops_per_s(self)
+        except OverflowError:  # an int factor past float64
+            rate = math.inf
+        if not math.isfinite(rate):
+            raise ParameterError(
+                "the effective rate pixel_parallel * input_channel_parallel * "
+                "output_channel_parallel * 2 * cores * freq_hz * eta must be "
+                "a finite float"
+            )
 
 
 def peak_ops_per_cycle(cfg: DpuConfig):

@@ -1,13 +1,15 @@
+import copy
 import json
 import math
 import struct
 
+import jsonschema
 import numpy as np
 import pytest
 
 from lic_hw_kit import Tensor, load_model, save_model, save_tensor
 from lic_hw_kit.errors import FormatError, MalformedHeaderError, TruncatedPayloadError
-from lic_hw_kit.cli import main, read_ppm, write_ppm
+from lic_hw_kit.cli import SCHEMAS, main, read_ppm, write_ppm
 from lic_hw_kit.perf_model import MAX_CORES
 from conftest import make_encoder, rand_tensor
 
@@ -683,3 +685,114 @@ def test_quantize_range_error_beats_missing_model(tmp_path, capsys):
     err = _run_fails(["quantize", "--config", cfg, "--out", str(tmp_path / "o")],
                      capsys, code=2)
     assert "default_bits must be at most 32; got 64" in err
+
+
+# ---------------------------------------------------------------------------
+# Values the library cannot take at all
+# ---------------------------------------------------------------------------
+
+_DPU_FLOATS = {"freq_hz": 3e8, "eta": 0.8, "mem_bandwidth_bytes_per_s": 1.92e10,
+               "workload_scale": 0.5}
+# a config per command that sets every number-typed key the schema has
+# (at least one list element and one per-role gop each)
+_EVERY_NUMBER = {
+    "prune": {"model": "m.bin", "fraction_per_iteration": 0.1},
+    "estimate": {"dpu": _DPU_FLOATS,
+                 "workloads": [{"name": "w", "gop": 1.5},
+                               {"name": "r", "gop": {"entropy": 0.1}}]},
+    "simulate": {"dpu": _DPU_FLOATS,
+                 "stages": [{"name": "main_encoder", "compute_ops": 1e8,
+                             "intermediate_bytes": 1e6}],
+                 "patch_count": 4, "launch_overhead_s": 0.0},
+    "gdn-bench": {"samples": 10, "low": -8.0, "high": 8.0,
+                  "beta_range": [1.0, 2.0], "gamma_scale": 0.1},
+    "kd-loss": {"lambda": 0.5, "weights_early": _KD_WEIGHTS,
+                "weights_late": _KD_WEIGHTS, "plateau_threshold": 0.01,
+                "steps": kd_steps(1)},
+}
+
+
+def _schema_numbers(schema, where=""):
+    """Where a schema types a value as number."""
+    if schema.get("type") == "number":
+        yield where
+    for i, sub in enumerate(schema.get("anyOf", [])):
+        yield from _schema_numbers(sub, f"{where}/anyOf/{i}")
+    for key, sub in schema.get("properties", {}).items():
+        yield from _schema_numbers(sub, f"{where}/properties/{key}")
+    for key in ("items", "additionalProperties"):
+        if isinstance(schema.get(key), dict):
+            yield from _schema_numbers(schema[key], f"{where}/{key}")
+    for key, sub in schema.get("patternProperties", {}).items():
+        yield from _schema_numbers(sub, f"{where}/patternProperties/{key}")
+
+
+def _config_numbers(schema, value, where="", path=()):
+    """(schema position, config path) of each number-typed config value."""
+    if "anyOf" in schema:  # the branch of the value's kind
+        i, sub = next((i, sub) for i, sub in enumerate(schema["anyOf"])
+                      if (sub["type"] == "object") == isinstance(value, dict))
+        yield from _config_numbers(sub, value, f"{where}/anyOf/{i}", path)
+    elif schema.get("type") == "number":
+        yield where, path
+    elif isinstance(value, dict):
+        for key, v in value.items():
+            if key in schema.get("properties", {}):
+                sub, at = schema["properties"][key], f"{where}/properties/{key}"
+            else:
+                sub, at = schema["additionalProperties"], f"{where}/additionalProperties"
+            yield from _config_numbers(sub, v, at, path + (key,))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _config_numbers(schema["items"], v, f"{where}/items", path + (i,))
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMAS))
+def test_every_number_config_sets_each_number_key(command):
+    config = _EVERY_NUMBER.get(command, {})
+    if config:
+        jsonschema.validate(config, SCHEMAS[command])
+    reached = {at for at, _ in _config_numbers(SCHEMAS[command], config)}
+    assert reached == set(_schema_numbers(SCHEMAS[command]))
+
+
+NUMBER_PATHS = [(command, path) for command, config in _EVERY_NUMBER.items()
+                for _, path in _config_numbers(SCHEMAS[command], config)]
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+@pytest.mark.parametrize("command, path", NUMBER_PATHS,
+                         ids=[f"{c}-{'.'.join(map(str, p))}" for c, p in NUMBER_PATHS])
+def test_integer_too_large_for_a_float64_exits_2(tmp_path, capsys, command, path,
+                                                 sign):
+    config = copy.deepcopy(_EVERY_NUMBER[command])
+    *head, last = path
+    node = config
+    for key in head:
+        node = node[key]
+    node[last] = sign * 10 ** 400
+    cfg = write_json(tmp_path / "cfg.json", config)
+    out = tmp_path / "o"
+    _run_fails([command, "--config", cfg, "--out", str(out)], capsys, code=2)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("factor", ["pixel_parallel", "input_channel_parallel",
+                                    "output_channel_parallel"])
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+def test_parallel_factor_past_a_finite_rate_exits_2(tmp_path, capsys, command,
+                                                    factor):
+    cfg = write_json(tmp_path / "cfg.json",
+                     {**_BASES[command], "dpu": {factor: 10 ** 400}})
+    out = tmp_path / "o"
+    err = _run_fails([command, "--config", cfg, "--out", str(out)], capsys, code=2)
+    assert factor in err and "finite" in err
+    assert not out.exists()
+
+
+def test_gdn_bench_width_without_stock_formats_exits_2(tmp_path, capsys):
+    cfg = write_json(tmp_path / "bench.json", {"samples": 10, "total_bits": [32, 12]})
+    out = tmp_path / "o"
+    err = _run_fails(["gdn-bench", "--config", cfg, "--out", str(out)], capsys, code=2)
+    assert "12-bit" in err
+    assert not out.exists()

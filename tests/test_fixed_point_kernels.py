@@ -108,14 +108,14 @@ def oracle_fixed_pipeline(x, params, formats, inverse):
         sat["accum"] = n
         acc = np.maximum(acc, 1)
         lut = gdn._lut_for(f_root)
-        root, n = gdn._sqrt_range_reduced(acc, f_acc, lut, f_root)
+        root, n = saturate_q(gdn._sqrt_unclamped(acc, f_acc, lut, f_root), f_root)
         sat["root"] = n
         root = np.maximum(root, 1)
         if inverse:
             scale_q, scale_frac = root, f_root.frac_bits
         else:
-            recip, n = gdn._recip_stage(root, f_root, f_rec)
-            sat["recip"] = n
+            recip, moved_in, moved_out = gdn._recip_clamps(root, f_root, f_rec)
+            sat["recip"] = int(np.count_nonzero(moved_in)) + int(np.count_nonzero(moved_out))
             scale_q, scale_frac = recip, f_rec.frac_bits
         out = oracle_rshift_round(
             x_q * scale_q, f_in.frac_bits + scale_frac - f_out.frac_bits
@@ -456,15 +456,19 @@ def test_grid_q_matches_the_unclamped_cast_inside_int64():
 
 def _helper_stages(acc, formats, inverse):
     """The root and reciprocal stages as the pipeline ran them element by
-    element before the table: the count-returning stage helpers on the
-    oracle kernels. Returns (scale_q, saturation counts)."""
+    element before the table: the root and reciprocal kernels on the
+    oracle shifts and LUT, counted from saturate_q and the clamp masks.
+    Returns (scale_q, saturation counts)."""
     lut = gdn._lut_for(formats.root)
     with oracle_kernels():
-        root, n_root = gdn._sqrt_range_reduced(acc, formats.accum, lut, formats.root)
+        root, n_root = saturate_q(
+            gdn._sqrt_unclamped(acc, formats.accum, lut, formats.root), formats.root
+        )
         root = np.maximum(root, 1)
         if inverse:
             return root, {"root": n_root, "recip": 0}
-        recip, n_recip = gdn._recip_stage(root, formats.root, formats.recip)
+        recip, moved_in, moved_out = gdn._recip_clamps(root, formats.root, formats.recip)
+        n_recip = int(np.count_nonzero(moved_in)) + int(np.count_nonzero(moved_out))
     return recip, {"root": n_root, "recip": n_recip}
 
 

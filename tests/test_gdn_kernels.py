@@ -7,12 +7,15 @@ round once to float32; only the order of the float64 additions over
 channels differs, so gdn_float and igdn_float must agree with the oracle
 to within one float32 spacing of each element plus 1e-9 of the largest
 magnitude.
+
+The error attribution's float64 pipeline with no stage quantized must be
+the float reference's own arithmetic, pool included, bit for bit.
 """
 
 import numpy as np
 import pytest
 
-from lic_hw_kit import GdnParams, Tensor, gdn_float, igdn_float
+from lic_hw_kit import GdnParams, GdnStageFormats, Tensor, gdn, gdn_float, igdn_float
 from conftest import within_float64_accumulation
 
 
@@ -85,3 +88,19 @@ def test_tolerance_rejects_float32_pool():
     bad = float32_pool_gdn(x, params)
     assert bad.shape == want.shape
     assert not within_float64_accumulation(bad, want)
+
+
+@pytest.mark.parametrize("c", [8, 64, 128])
+def test_unquantized_attribution_is_the_float_reference(c):
+    rng = np.random.default_rng(c)
+    params = random_params(c, rng)
+    x = Tensor(rng.normal(0.0, 2.0, (2, c, 5, 7)).astype(np.float32))
+    x64 = x.data.astype(np.float64)
+    root = np.sqrt(gdn._pool(x, params))
+    formats = GdnStageFormats.default(16)
+    for fn, inverse, want in ((gdn_float, False, x64 / root),
+                              (igdn_float, True, x64 * root)):
+        got = gdn._hybrid_pipeline(x, params, formats, None, inverse)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
+        assert np.array_equal(fn(x, params).data, got.astype(np.float32))

@@ -47,6 +47,22 @@ def test_config_rejects_more_cores_than_the_bound(cores):
         DpuConfig(cores=cores)
 
 
+@pytest.mark.parametrize("settings", [
+    {"pixel_parallel": 10 ** 400}, {"input_channel_parallel": 10 ** 400},
+    {"output_channel_parallel": 10 ** 400}, {"pixel_parallel": 10 ** 300},
+    {"freq_hz": 1e308},
+], ids=["pixel-10**400", "input-10**400", "output-10**400", "pixel-10**300",
+        "freq-1e308"])
+def test_config_rejects_a_rate_past_float64(settings):
+    with pytest.raises(ParameterError, match="pixel_parallel .* must be a finite float"):
+        DpuConfig(**settings)
+
+
+def test_config_accepts_a_huge_finite_rate():
+    cfg = DpuConfig(pixel_parallel=10 ** 290)
+    assert cfg.pixel_parallel == 10 ** 290
+
+
 def test_config_accepts_the_core_bound():
     assert MAX_CORES == 1024
     assert DpuConfig(cores=MAX_CORES).cores == MAX_CORES
