@@ -4,17 +4,19 @@
 
 A schema states each config's keys (unknown keys are rejected), types
 and required keys, and refuses an integer too large for a float64 at a
-number-typed key; ranges come from the library. Each command builds its
-library objects through _build before reading any input file, so a
-setting out of a constructor's range is a config error that names it.
-The schema keeps a bound only where the library would report it as a
+number-typed key; ranges come from the library. The keys and types of
+library objects come from their dataclass fields (_config, _fields), so
+a field added to one is a config key with no edit here. Each command
+builds its library objects through _build before reading any input file,
+so a setting out of a constructor's range is a config error that names
+it. The schema keeps a bound only where the library would report it as a
 computation failure (prune's schedule, the scalar gop and plain function
 arguments) and for gdn-bench, which has no library counterpart and keeps
 defaults of its own (its widths are those GdnStageFormats.default
-accepts); any other key left out takes the default of the library call
-it feeds. Reports are CSV and JSON side by side (CSV floats at 6 fixed
-decimals, JSON at full precision), so reruns on identical inputs are
-byte-identical.
+accepts, and its corpus a budget of elements); any other key left out
+takes the default of the library call it feeds. Reports are CSV and JSON
+side by side (CSV floats at 6 fixed decimals, JSON at full precision),
+so reruns on identical inputs are byte-identical.
 
 Exit codes: 0 success, 2 config error (a setting outside the library's
 range included), 3 missing input file, 4 numeric or format failure
@@ -24,8 +26,10 @@ during computation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 import jsonschema
@@ -67,7 +71,15 @@ _INT = {"type": "integer"}
 # json reads 1e400 as inf but keeps 10**400 an exact int, which no float
 # arithmetic takes; every number-typed key refuses such an int here
 _NUMBER = {"type": "number", "format": "float64"}
+_STR = {"type": "string"}
+_BOOL = {"type": "boolean"}
+_COUNT = {**_INT, "minimum": 1}
+_TYPES = {int: _INT, float: _NUMBER, bool: _BOOL, str: _STR}
 _FORMATS = jsonschema.FormatChecker(formats=())
+# gdn-bench draws channels**2 gamma entries and channels * samples corpus
+# values; its error report keeps several float64 copies of the corpus, so
+# this many elements peak near 0.7 GB and take 6-20 s on a 2-CPU machine
+_BENCH_ELEMENTS = 2 ** 22
 
 
 @_FORMATS.checks("float64", raises=OverflowError)
@@ -77,183 +89,103 @@ def _fits_float64(value) -> bool:
     return True
 
 
-_DPU_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "pixel_parallel": _INT,
-        "input_channel_parallel": _INT,
-        "output_channel_parallel": _INT,
-        "cores": _INT,
-        "freq_hz": _NUMBER,
-        "eta": _NUMBER,
-        "mem_bandwidth_bytes_per_s": _NUMBER,
-        "workload_scale": _NUMBER,
-    },
-}
+def _object(properties: dict, required=()) -> dict:
+    """A closed object: keys outside properties are rejected."""
+    given = {"required": list(required)} if required else {}
+    return {"type": "object", "additionalProperties": False, **given,
+            "properties": properties}
 
-_WEIGHTS_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["alpha", "beta", "gamma"],
-    "properties": {"alpha": _NUMBER, "beta": _NUMBER, "gamma": _NUMBER},
-}
+
+def _list(items: dict, least=1, most=None) -> dict:
+    most = {} if most is None else {"maxItems": most}
+    return {"type": "array", "minItems": least, **most, "items": items}
+
+
+def _names(cls) -> list:
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+def _fields(cls, skip=(), **given) -> dict:
+    """{field: schema} of a dataclass in field order, typed from its
+    annotations; given replaces a field's schema and skip drops fields.
+    A field of any other type raises, so no key leaves the schema unseen."""
+    hints = typing.get_type_hints(cls)
+    schemas = {n: given.get(n, _TYPES.get(hints[n]))
+               for n in _names(cls) if n not in skip}
+    untyped = [n for n, schema in schemas.items() if schema is None]
+    if untyped:
+        raise TypeError(f"no config type for {cls.__name__} fields {untyped}")
+    return schemas
+
+
+def _config(cls) -> dict:
+    """The config object of a dataclass: fields without a default are required."""
+    required = [f.name for f in dataclasses.fields(cls)
+                if f.default is f.default_factory is dataclasses.MISSING]
+    return _object(_fields(cls), required)
+
+
+_STEP_KEYS = ["l_latent", "l_perceptual", "rate", "distortion"]  # kd_loss's arguments
+_DPU_SCHEMA = _config(DpuConfig)
+_WEIGHTS_SCHEMA = _config(KdWeights)
 
 SCHEMAS = {
-    "quantize": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["model", "calibration"],
-        "properties": {
-            "model": {"type": "string"},
-            "calibration": {
-                "type": "array", "minItems": 1, "items": {"type": "string"},
-            },
-            "policy": {
-                "type": "object",
-                "additionalProperties": False,
-                "properties": {
-                    "default_bits": _INT,
-                    "gdn_bits": _INT,
-                    "overrides": {
-                        "type": "object",
-                        "patternProperties": {r"^\d+$": _INT},
-                        "additionalProperties": False,
-                    },
-                },
-            },
-        },
-    },
-    "prune": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["model"],
-        "properties": {
-            "model": {"type": "string"},
-            "fraction_per_iteration": {
-                **_NUMBER, "minimum": 0, "exclusiveMaximum": 1,
-            },
-            "iterations": {"type": "integer", "minimum": 1},
-            "prune_hyperprior": {"type": "boolean"},
-            "input_hw": {
-                "type": "array", "minItems": 2, "maxItems": 2,
-                "items": {"type": "integer", "minimum": 1},
-            },
-        },
-    },
-    "estimate": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["workloads"],
-        "properties": {
-            "dpu": _DPU_SCHEMA,
-            "workloads": {
-                "type": "array",
-                "minItems": 1,
-                "items": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["name", "gop"],
-                    "properties": {
-                        "name": {"type": "string"},
-                        "gop": {
-                            "anyOf": [
-                                {**_NUMBER, "exclusiveMinimum": 0},
-                                {
-                                    "type": "object",
-                                    "minProperties": 1,
-                                    "additionalProperties": _NUMBER,
-                                },
-                            ],
-                        },
-                    },
-                },
-            },
-        },
-    },
-    "simulate": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
-            "dpu": _DPU_SCHEMA,
-            "scenario": {"type": "string", "enum": ["student160_encoder"]},
-            "stages": {
-                "type": "array",
-                "minItems": 1,
-                "items": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["name", "compute_ops"],
-                    "properties": {
-                        "name": {"type": "string"},
-                        "compute_ops": _NUMBER,
-                        "intermediate_bytes": _NUMBER,
-                    },
-                },
-            },
-            "patch_count": {"type": "integer", "minimum": 1},
-            "patches_per_frame": {"type": "integer", "minimum": 1},
-            "mode": {"type": "string", "enum": ["sequential", "pipelined", "both"]},
-            "launch_overhead_s": {**_NUMBER, "minimum": 0},
-            "trace": {"type": "boolean"},
-        },
-    },
-    "gdn-bench": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
-            "channels": {"type": "integer", "minimum": 1},
-            "samples": {"type": "integer", "minimum": 1},
-            "seed": {"type": "integer", "minimum": 0},
-            "low": _NUMBER,
-            "high": _NUMBER,
-            "beta_range": {
-                "type": "array", "minItems": 2, "maxItems": 2,
-                "items": {**_NUMBER, "exclusiveMinimum": 0},
-            },
-            "gamma_scale": {**_NUMBER, "minimum": 0},
-            "total_bits": {"type": "array", "minItems": 1, "items": _INT},
-            "inverse": {"type": "boolean"},
-        },
-    },
-    "tile": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["image"],
-        "properties": {
-            "image": {"type": "string"},
-            "target_h": {"type": "integer", "minimum": 1},
-            "target_w": {"type": "integer", "minimum": 1},
-        },
-    },
-    "kd-loss": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["lambda", "steps"],
-        "properties": {
-            "lambda": {**_NUMBER, "minimum": 0},
-            "weights_early": _WEIGHTS_SCHEMA,
-            "weights_late": _WEIGHTS_SCHEMA,
-            "plateau_window": _INT,
-            "plateau_threshold": _NUMBER,
-            "max_phase_steps": _INT,
-            "steps": {
-                "type": "array",
-                "minItems": 1,
-                "items": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["l_latent", "l_perceptual", "rate", "distortion"],
-                    "properties": {
-                        "l_latent": _NUMBER,
-                        "l_perceptual": _NUMBER,
-                        "rate": _NUMBER,
-                        "distortion": _NUMBER,
-                    },
-                },
-            },
-        },
-    },
+    "quantize": _object({
+        "model": _STR,
+        "calibration": _list(_STR),
+        "policy": _object(_fields(PrecisionPolicy, overrides={
+            "type": "object",
+            "patternProperties": {r"^\d+$": _INT},
+            "additionalProperties": False,
+        })),
+    }, ["model", "calibration"]),
+    "prune": _object({
+        "model": _STR,
+        # PruneSchedule's ParameterError is a computation failure (exit 4)
+        **_fields(PruneSchedule, iterations=_COUNT, fraction_per_iteration={
+            **_NUMBER, "minimum": 0, "exclusiveMaximum": 1}),
+        "input_hw": _list(_COUNT, 2, 2),
+    }, ["model"]),
+    "estimate": _object({
+        "dpu": _DPU_SCHEMA,
+        "workloads": _list(_object({
+            "name": _STR,
+            "gop": {"anyOf": [
+                {**_NUMBER, "exclusiveMinimum": 0},
+                {"type": "object", "minProperties": 1, "additionalProperties": _NUMBER},
+            ]},
+        }, ["name", "gop"])),
+    }, ["workloads"]),
+    "simulate": _object({
+        "dpu": _DPU_SCHEMA,
+        "scenario": {**_STR, "enum": ["student160_encoder"]},
+        "stages": _list(_config(StageSpec)),
+        "patch_count": _COUNT,
+        "patches_per_frame": _COUNT,
+        "mode": {**_STR, "enum": ["sequential", "pipelined", "both"]},
+        "launch_overhead_s": {**_NUMBER, "minimum": 0},
+        "trace": _BOOL,
+    }),
+    "gdn-bench": _object({
+        "channels": _COUNT,
+        "samples": _COUNT,
+        "seed": {**_INT, "minimum": 0},
+        "low": _NUMBER,
+        "high": _NUMBER,
+        "beta_range": _list({**_NUMBER, "exclusiveMinimum": 0}, 2, 2),
+        "gamma_scale": {**_NUMBER, "minimum": 0},
+        "total_bits": _list(_INT),
+        "inverse": _BOOL,
+    }),
+    "tile": _object({"image": _STR, "target_h": _COUNT, "target_w": _COUNT},
+                    ["image"]),
+    "kd-loss": _object({
+        "lambda": {**_NUMBER, "minimum": 0},
+        "weights_early": _WEIGHTS_SCHEMA,
+        "weights_late": _WEIGHTS_SCHEMA,
+        **_fields(PhaseSchedule, skip=("early", "late")),  # the weights_* keys
+        "steps": _list(_object(dict.fromkeys(_STEP_KEYS, _NUMBER), _STEP_KEYS)),
+    }, ["lambda", "steps"]),
 }
 
 
@@ -425,8 +357,7 @@ def cmd_quantize(args) -> int:
 def cmd_prune(args) -> int:
     cfg = _load_config(args.config, "prune")
     model = load_model(_read_bytes(cfg["model"]))
-    schedule = PruneSchedule(**_given(cfg, "fraction_per_iteration",
-                                      "iterations", "prune_hyperprior"))
+    schedule = PruneSchedule(**_given(cfg, *_names(PruneSchedule)))
     input_hw = tuple(cfg["input_hw"]) if "input_hw" in cfg else None
     pruned, report = iterative_prune(model, schedule, input_hw=input_hw)
 
@@ -550,6 +481,10 @@ def cmd_gdn_bench(args) -> int:
     cfg = _load_config(args.config, "gdn-bench")
     channels = integral_bits(cfg.get("channels", 8), "channels")
     samples = integral_bits(cfg.get("samples", 1000), "samples")
+    for key, n in (("channels", channels), ("samples", samples)):
+        if channels * n > _BENCH_ELEMENTS:
+            raise ConfigError(f"gdn-bench needs channels * {key} <= "
+                              f"{_BENCH_ELEMENTS}; got {channels} * {n}")
     seed = integral_bits(cfg.get("seed", 1234), "seed")
     low, high = cfg.get("low", -8.0), cfg.get("high", 8.0)
     beta_lo, beta_hi = cfg.get("beta_range", [1.0, 2.0])
@@ -613,8 +548,9 @@ def cmd_kd_loss(args) -> int:
     cfg = _load_config(args.config, "kd-loss")
     phase_weights = {p: _build(KdWeights, **cfg[f"weights_{p}"])
                      for p in ("early", "late") if f"weights_{p}" in cfg}
-    schedule = _build(PhaseSchedule, **phase_weights, **_given(
-        cfg, "plateau_window", "plateau_threshold", "max_phase_steps"))
+    # early and late are the weights_* keys, which _given never finds
+    schedule = _build(PhaseSchedule, **phase_weights,
+                      **_given(cfg, *_names(PhaseSchedule)))
     lam = cfg["lambda"]
 
     rows = []
@@ -622,8 +558,7 @@ def cmd_kd_loss(args) -> int:
     phase = "early"
     for i, step in enumerate(cfg["steps"]):
         phase, weights = plateau_scheduler(history, schedule, phase)
-        br = kd_loss(step["l_latent"], step["l_perceptual"], step["rate"],
-                     step["distortion"], lam, weights)
+        br = kd_loss(*(step[k] for k in _STEP_KEYS), lam, weights)
         rows.append({
             "step": i,
             "phase": phase,

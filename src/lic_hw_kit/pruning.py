@@ -34,6 +34,11 @@ __all__ = [
 
 HYPERPRIOR_ROLES = ("hyper_encoder", "hyper_decoder")
 
+# fraction * iterations < 1, so past this count an iteration removes no
+# filter from any layer narrower than this (a compression model's widths
+# are a few hundred), yet each still walks the whole model
+MAX_ITERATIONS = 1024
+
 
 @dataclass(frozen=True)
 class PruneSchedule:
@@ -48,7 +53,8 @@ class PruneSchedule:
         if not 0.0 <= self.fraction_per_iteration < 1.0:
             raise ParameterError("fraction_per_iteration must lie in [0, 1)")
         object.__setattr__(self, "iterations",
-                           integral_bits(self.iterations, "iterations", 1))
+                           integral_bits(self.iterations, "iterations", 1,
+                                         MAX_ITERATIONS))
         if self.fraction_per_iteration * self.iterations >= 1.0:
             raise ParameterError("schedule would remove every filter")
 

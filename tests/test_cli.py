@@ -1,15 +1,40 @@
 import copy
+import dataclasses
 import json
 import math
+import os
+import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-from lic_hw_kit import Tensor, load_model, save_model, save_tensor
+import lic_hw_kit
+from lic_hw_kit import (
+    DpuConfig,
+    KdWeights,
+    PhaseSchedule,
+    PrecisionPolicy,
+    StageSpec,
+    Tensor,
+    load_model,
+    save_model,
+    save_tensor,
+)
 from lic_hw_kit.errors import FormatError, MalformedHeaderError, TruncatedPayloadError
-from lic_hw_kit.cli import SCHEMAS, main, read_ppm, write_ppm
+from lic_hw_kit.cli import (
+    _BENCH_ELEMENTS,
+    SCHEMAS,
+    _config,
+    _fields,
+    main,
+    read_ppm,
+    write_ppm,
+)
 from lic_hw_kit.perf_model import MAX_CORES
 from conftest import make_encoder, rand_tensor
 
@@ -119,6 +144,19 @@ def test_prune_outputs_and_determinism(tmp_path, rng, model_file):
     assert sum(report["filters_after"].values()) \
         < sum(report["filters_before"].values())
     assert report["flops_after"] < report["flops_before"]
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.1])
+def test_prune_iteration_count_past_its_bound_exits_4(tmp_path, capsys, model_file,
+                                                      fraction):
+    path, _ = model_file
+    cfg = write_json(tmp_path / "prune.json", {
+        "model": str(path), "fraction_per_iteration": fraction,
+        "iterations": 10 ** 400})
+    out = tmp_path / "o"
+    err = _run_fails(["prune", "--config", cfg, "--out", str(out)], capsys)
+    assert "iterations must be at most" in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +352,31 @@ def test_gdn_bench_huge_inputs_report_no_nan(tmp_path):
     report = json.loads(text)
     assert all(math.isfinite(v) for detail in report["stages"].values()
                for v in detail["stage_contribution"].values())
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"channels": 10 ** 11}, "channels"),
+    ({"samples": 10 ** 30}, "samples"),
+    ({"channels": 8, "samples": _BENCH_ELEMENTS // 8 + 1}, "samples"),
+])
+def test_gdn_bench_corpus_past_the_element_budget_exits_2(tmp_path, capsys, config,
+                                                          key):
+    cfg = write_json(tmp_path / "bench.json", config)
+    out = tmp_path / "o"
+    err = _run_fails(["gdn-bench", "--config", cfg, "--out", str(out)], capsys, code=2)
+    assert f"channels * {key} <= {_BENCH_ELEMENTS}" in err
+    assert not out.exists()
+
+
+def test_gdn_bench_channel_budget_is_inclusive(tmp_path, capsys):
+    at = math.isqrt(_BENCH_ELEMENTS)
+    assert at * at == _BENCH_ELEMENTS
+    for channels, code in ((at, 0), (at + 1, 2)):
+        cfg = write_json(tmp_path / "bench.json", {"channels": channels, "samples": 1,
+                                                   "total_bits": [8]})
+        assert main(["gdn-bench", "--config", cfg,
+                     "--out", str(tmp_path / str(channels))]) == code
+    assert "channels * channels" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -796,3 +859,90 @@ def test_gdn_bench_width_without_stock_formats_exits_2(tmp_path, capsys):
     err = _run_fails(["gdn-bench", "--config", cfg, "--out", str(out)], capsys, code=2)
     assert "12-bit" in err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# Schemas derived from the library's dataclasses
+# ---------------------------------------------------------------------------
+
+
+@dataclasses.dataclass
+class _Probe:
+    count: int
+    rate: float = 1.0
+    on: bool = False
+    label: str = "x"
+    made: int = dataclasses.field(default_factory=int)
+
+
+def test_a_field_without_a_config_type_raises():
+    with pytest.raises(TypeError, match=r"PhaseSchedule fields \['early', 'late'\]"):
+        _fields(PhaseSchedule)
+    with pytest.raises(TypeError, match=r"PrecisionPolicy fields \['overrides'\]"):
+        _fields(PrecisionPolicy)
+
+
+def test_fields_follow_the_dataclass_with_replacements_and_skips():
+    schemas = _fields(_Probe, skip=("on",), made={"type": "array"})
+    assert schemas == {"count": {"type": "integer"},
+                       "rate": {"type": "number", "format": "float64"},
+                       "label": {"type": "string"}, "made": {"type": "array"}}
+    assert list(schemas) == ["count", "rate", "label", "made"]
+
+
+def test_config_requires_the_fields_without_a_default():
+    assert _config(_Probe)["required"] == ["count"]
+    assert _config(KdWeights)["required"] == ["alpha", "beta", "gamma"]
+    assert _config(StageSpec)["required"] == ["name", "compute_ops"]
+    assert "required" not in _config(DpuConfig)
+    assert _config(DpuConfig)["additionalProperties"] is False
+
+
+# ---------------------------------------------------------------------------
+# Run as a module: sys.exit carries main's exit code
+# ---------------------------------------------------------------------------
+
+
+def _readme_estimate():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = re.search(r"^\*\*estimate\*\*.*?^```json\n(.*?)^```", readme,
+                     re.M | re.S).group(1)
+    return json.loads(text)
+
+
+_MODULE_RUNS = [
+    pytest.param("estimate", _readme_estimate(), 0, "estimate_report.csv",
+                 id="readme-estimate"),
+    # the closed-form schedules finish 1e12 untraced patches well inside the timeout
+    pytest.param("simulate", {
+        "stages": [{"name": "main_encoder", "compute_ops": 1.8e8,
+                    "intermediate_bytes": 1.6e6},
+                   {"name": "entropy", "compute_ops": 1.4e8}],
+        "patch_count": 10 ** 12, "mode": "both"}, 0, "sim_report.json",
+        id="simulate-1e12-patches"),
+    pytest.param("simulate", {"scenario": "student160_encoder", "dpu": {"eta": 1.5}},
+                 2, "eta", id="dpu-out-of-library-range"),
+    pytest.param("estimate", {"workloads": [{"name": "w", "gop": 10 ** 400}]},
+                 2, "too large for a float64", id="gop-past-float64"),
+]
+
+
+@pytest.mark.parametrize("command, config, code, expect", _MODULE_RUNS)
+def test_cli_run_as_a_module(tmp_path, command, config, code, expect):
+    """On success the named report is non-empty; on failure stderr is one
+    line holding expect and no output directory is made."""
+    cfg = write_json(tmp_path / "cfg.json", config)
+    out = tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(lic_hw_kit.__file__))
+    run = subprocess.run(
+        [sys.executable, "-m", "lic_hw_kit.cli", command, "--config", cfg,
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == code, run.stderr
+    assert "Traceback" not in run.stderr
+    if code == 0:
+        assert (out / expect).stat().st_size > 0
+    else:
+        assert run.stderr.count("\n") == 1 and expect in run.stderr
+        assert not out.exists()

@@ -25,6 +25,7 @@ from lic_hw_kit import (
 )
 from lic_hw_kit.errors import integral_bits
 from lic_hw_kit.perf_model import MAX_CORES
+from lic_hw_kit.pruning import MAX_ITERATIONS
 
 
 def _conv(field, v):
@@ -71,7 +72,7 @@ SITES = [
                 "output_channel_parallel")],
     ("DpuConfig.cores", lambda v: DpuConfig(cores=v).cores, 1, MAX_CORES, "cores"),
     ("PruneSchedule.iterations",
-     lambda v: PruneSchedule(0.0, v).iterations, 1, None, "iterations"),
+     lambda v: PruneSchedule(0.0, v).iterations, 1, MAX_ITERATIONS, "iterations"),
     ("PhaseSchedule.plateau_window",
      lambda v: PhaseSchedule(plateau_window=v).plateau_window, 2, None,
      "plateau_window"),

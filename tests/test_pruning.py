@@ -43,6 +43,10 @@ def test_schedule_validation():
         PruneSchedule(fraction_per_iteration=-0.1)
     with pytest.raises(ParameterError):
         PruneSchedule(iterations=0)
+    # the bound is checked before fraction * iterations, which 10**400 overflows
+    for fraction in (0.0, 0.1):
+        with pytest.raises(ParameterError, match="iterations must be at most"):
+            PruneSchedule(fraction, 10 ** 400)
     s = PruneSchedule(0.10, 3)
     assert s.target_sparsity == pytest.approx(0.30)
 
