@@ -47,6 +47,12 @@ MODEL_ROLES = (
     "entropy_params",
 )
 
+# Far above the stride 2 and the few pixels of padding a compression layer
+# uses. A container's payload bounds a layer's channels and kernel, but
+# nothing bounds these two, and the padded input and a deconv's output
+# grow with them.
+MAX_LAYER_STEP = 64
+
 
 def _frozen(arr, dtype):
     out = np.array(arr, dtype=dtype, order="C")
@@ -74,10 +80,11 @@ class LayerSpec:
     gdn_params: GdnParams | None = None
 
     def __post_init__(self):
-        for f, least in (("in_channels", 1), ("out_channels", 1), ("kernel", 1),
-                         ("stride", 1), ("padding", 0)):
+        for f, least, most in (("in_channels", 1, None), ("out_channels", 1, None),
+                               ("kernel", 1, None), ("stride", 1, MAX_LAYER_STEP),
+                               ("padding", 0, MAX_LAYER_STEP)):
             object.__setattr__(self, f, integral_bits(
-                getattr(self, f), f"layer sizes ({f})", least))
+                getattr(self, f), f"layer sizes ({f})", least, most))
         shapes = self.tensor_shapes(self.kind, self.in_channels,
                                     self.out_channels, self.kernel)
         if "weights" in shapes:
@@ -166,7 +173,6 @@ class ModelSpec:
     name: str
     layers: list
     role: str
-    bit_widths: list | None = None
 
     def __post_init__(self):
         if self.role not in MODEL_ROLES:
@@ -181,21 +187,6 @@ class ModelSpec:
                     f"layer {i - 1} produces {prev}"
                 )
             prev = layer.out_channels
-        if self.bit_widths is not None:
-            try:
-                count = len(self.bit_widths)
-            except TypeError:
-                raise ParameterError(
-                    f"bit widths must be integers, one per layer in a sequence; "
-                    f"got {self.bit_widths!r}"
-                ) from None
-            if count != len(self.layers):
-                raise ShapeError(
-                    f"bit_widths lists {count} entries for "
-                    f"{len(self.layers)} layers"
-                )
-            object.__setattr__(self, "bit_widths", [
-                integral_bits(b, least=1) for b in self.bit_widths])
 
     @property
     def in_channels(self) -> int:

@@ -1,8 +1,8 @@
 """Binary containers for models.
 
 Float container: 4-byte magic, little-endian uint32 version, uint64
-header length, UTF-8 JSON header (name, role, per-layer scalar fields,
-bit widths), then one payload section per parameter tensor in layer
+header length, UTF-8 JSON header (name, role, per-layer scalar fields),
+then one payload section per parameter tensor in layer
 order (conv/deconv: weights then bias; gdn/igdn: beta then gamma). Every
 section is an 8-byte little-endian length followed by little-endian
 data: float32 for conv weights and bias, float64 for gdn beta and gamma,
@@ -111,15 +111,13 @@ def _read_sections(buf: bytes, off: int, shapes_dtypes):
     return out
 
 
-def _model_header(fmt: str, model: ModelSpec) -> dict:
-    return {"format": fmt, "name": model.name, "role": model.role,
-            "bit_widths": model.bit_widths,
+def _model_header(model: ModelSpec) -> dict:
+    return {"name": model.name, "role": model.role,
             "layers": [layer.scalars() for layer in model.layers]}
 
 
 def _model_from(header: dict, layers) -> ModelSpec:
-    return ModelSpec(name=header["name"], layers=layers, role=header["role"],
-                     bit_widths=header.get("bit_widths"))
+    return ModelSpec(name=header["name"], layers=layers, role=header["role"])
 
 
 def _quant_params(entry: dict) -> QuantParams:
@@ -128,7 +126,7 @@ def _quant_params(entry: dict) -> QuantParams:
 
 
 def save_model(model: ModelSpec) -> bytes:
-    header = _model_header("lic-model", model)
+    header = _model_header(model)
     payloads = [np.asarray(arr, dtype=_ROLE_DTYPE[role])
                 for layer in model.layers
                 for role, arr in layer.tensors().items()]
@@ -181,7 +179,7 @@ def save_quantized_model(qm) -> bytes:
         {"layer": li, "bits": p.bits, "scale": p.scale, "zero_point": p.zero_point}
         for li, p in sorted(qm.activation_params.items())
     ]
-    header = {**_model_header("lic-quant-model", qm.model),
+    header = {**_model_header(qm.model),
               "quant": {"tensors": tensors, "activations": activations}}
     return _pack(_QUANT_MAGIC, header, payloads)
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, ParameterError, integral_bits
 from .model import ModelSpec, flops_of, layer_extents
+from .quantizer import PrecisionPolicy
 
 __all__ = [
     "DpuConfig",
@@ -172,17 +173,15 @@ def bandwidth_load(layers) -> tuple:
     return total_bits, total_bits / 8
 
 
-def traffic_of_model(model: ModelSpec, input_hw, default_bits: int = 8):
-    """LayerTraffic rows for a model's conv/deconv layers."""
-    rows = []
-    for li, (layer, (h, w), _) in enumerate(layer_extents(model, input_hw)):
-        if layer.weights is not None:
-            bits = (model.bit_widths[li] if model.bit_widths is not None
-                    else default_bits)
-            rows.append(LayerTraffic(h=h, w=w, n_in=layer.in_channels,
-                                     n_out=layer.out_channels,
-                                     kernel=layer.kernel, bits=bits))
-    return rows
+def traffic_of_model(model: ModelSpec, input_hw,
+                     policy: PrecisionPolicy = PrecisionPolicy()):
+    """LayerTraffic rows for a model's conv/deconv layers, each at the
+    width ptq quantizes it to (policy.widths)."""
+    return [LayerTraffic(h=h, w=w, n_in=layer.in_channels,
+                         n_out=layer.out_channels, kernel=layer.kernel, bits=bits)
+            for (layer, (h, w), _), bits in zip(layer_extents(model, input_hw),
+                                                policy.widths(model))
+            if layer.weights is not None]
 
 
 def workload_from_model(model: ModelSpec, input_hw) -> WorkloadProfile:

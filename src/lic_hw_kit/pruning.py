@@ -124,8 +124,7 @@ def _apply_keeps(model: ModelSpec, keep_out: dict) -> ModelSpec:
             tensors, **{**layer.scalars(), "in_channels": len(keep_in),
                         "out_channels": len(keep)}))
         keep_in = keep
-    return ModelSpec(name=model.name, layers=layers, role=model.role,
-                     bit_widths=model.bit_widths)
+    return ModelSpec(name=model.name, layers=layers, role=model.role)
 
 
 def _select_removals(model: ModelSpec, counts: dict) -> dict:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CalibrationError, ParameterError, ShapeError, integral_bits
+from .errors import CalibrationError, ParameterError, integral_bits
 from .fixed_point import _round_saturate
 from .model import LayerSpec, ModelSpec, model_forward
 from .tensor import Tensor
@@ -35,7 +35,6 @@ __all__ = [
     "ptq",
     "dequantize_model",
     "fake_quant_forward",
-    "ste_grad",
 ]
 
 INPUT_INDEX = -1  # pseudo layer index for the model input's activation stats
@@ -210,6 +209,17 @@ class PrecisionPolicy:
             return self.gdn_bits
         return self.default_bits
 
+    def widths(self, model: ModelSpec) -> list:
+        """resolve() for each layer of model; ParameterError when an
+        override names no layer of model."""
+        stray = sorted(set(self.overrides) - set(range(len(model.layers))))
+        if stray:
+            raise ParameterError(
+                f"precision overrides name layers {stray}, but the model has "
+                f"{len(model.layers)} layers"
+            )
+        return [self.resolve(li, layer) for li, layer in enumerate(model.layers)]
+
 
 @dataclass
 class QuantizedModel:
@@ -244,16 +254,9 @@ def ptq(model: ModelSpec, stats: CalibrationStats,
     and ParameterError when a policy override names no layer of model.
     Deterministic: same model, stats, and policy give identical payloads.
     """
-    stray = sorted(set(policy.overrides) - set(range(len(model.layers))))
-    if stray:
-        raise ParameterError(
-            f"precision overrides name layers {stray}, but the model has "
-            f"{len(model.layers)} layers"
-        )
     tensor_params, payloads, saturation = {}, {}, {}
     activation_params = {}
-    for li, layer in enumerate(model.layers):
-        bits = policy.resolve(li, layer)
+    for li, (layer, bits) in enumerate(zip(model.layers, policy.widths(model))):
         for role, arr in layer.tensors().items():
             key = (li, role)
             p = quant_params_from_stats(stats.get(li, role), bits)
@@ -304,8 +307,7 @@ def dequantize_model(qm: QuantizedModel) -> ModelSpec:
             **layer.scalars())
         for li, layer in enumerate(qm.model.layers)
     ]
-    return ModelSpec(name=qm.model.name, layers=layers, role=qm.model.role,
-                     bit_widths=qm.model.bit_widths)
+    return ModelSpec(name=qm.model.name, layers=layers, role=qm.model.role)
 
 
 def fake_quant_forward(model: ModelSpec, stats: CalibrationStats,
@@ -328,16 +330,3 @@ def fake_quant_forward(model: ModelSpec, stats: CalibrationStats,
     return model_forward(dequantize_model(qm), _qdq(x, in_p),
                          on_layer=qdq_activation)
 
-
-def ste_grad(upstream, x, p: QuantParams):
-    """Straight-through estimator: pass the gradient where x/scale sits
-    strictly inside the clamp range, zero it where the value saturates."""
-    up = np.asarray(upstream, dtype=np.float64)
-    xv = np.asarray(x, dtype=np.float64)
-    if up.shape != xv.shape:
-        raise ShapeError(
-            f"upstream shape {up.shape} does not match input shape {xv.shape}"
-        )
-    scaled = xv / p.scale
-    mask = (scaled > p.qmin) & (scaled < p.qmax)
-    return up * mask

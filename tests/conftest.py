@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -46,6 +49,18 @@ def make_encoder(rng, cin=3, mid=6, out=4, role="main_encoder"):
 
 def rand_tensor(rng, dims, lo=-1.0, hi=1.0):
     return Tensor(rng.uniform(lo, hi, dims).astype(np.float32))
+
+
+def with_header(blob, edit):
+    """A model or quantized container with edit(header) applied to its
+    JSON header; the payload sections are kept as they are."""
+    prefix = struct.Struct("<4sIQ")  # magic, version, header length
+    magic, version, head_len = prefix.unpack_from(blob)
+    header = json.loads(blob[prefix.size:prefix.size + head_len])
+    edit(header)
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    return (prefix.pack(magic, version, len(head)) + head
+            + blob[prefix.size + head_len:])
 
 
 def within_float64_accumulation(got, want):

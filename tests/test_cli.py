@@ -17,6 +17,7 @@ import lic_hw_kit
 from lic_hw_kit import (
     DpuConfig,
     KdWeights,
+    ModelSpec,
     PhaseSchedule,
     PrecisionPolicy,
     StageSpec,
@@ -35,8 +36,9 @@ from lic_hw_kit.cli import (
     read_ppm,
     write_ppm,
 )
+from lic_hw_kit.model import MAX_LAYER_STEP
 from lic_hw_kit.perf_model import MAX_CORES
-from conftest import make_encoder, rand_tensor
+from conftest import make_conv, make_encoder, rand_tensor, with_header
 
 
 def write_json(path, obj):
@@ -527,30 +529,6 @@ def test_domain_failure_maps_to_4(tmp_path, rng, model_file):
     assert main(["prune", "--config", cfg, "--out", str(tmp_path)]) == 4
 
 
-def with_header_field(blob, key, value):
-    """Rewrite one field of a float model container's JSON header."""
-    magic, version, head_len = struct.unpack_from("<4sIQ", blob)
-    prefix = struct.calcsize("<4sIQ")
-    header = json.loads(blob[prefix:prefix + head_len])
-    header[key] = value
-    head = json.dumps(header, sort_keys=True).encode("utf-8")
-    return (struct.pack("<4sIQ", magic, version, len(head)) + head
-            + blob[prefix + head_len:])
-
-
-@pytest.mark.parametrize("widths", [["a", 8, 8, 8, 8], [8, 8, 2.5, 8, 8], 5])
-def test_bad_bit_widths_in_container_exit_4(tmp_path, model_file, capsys,
-                                            widths):
-    path, _ = model_file
-    bad = tmp_path / "bad_widths.bin"
-    bad.write_bytes(with_header_field(path.read_bytes(), "bit_widths", widths))
-    cfg = write_json(tmp_path / "prune.json", {"model": str(bad)})
-    assert main(["prune", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
-    err = capsys.readouterr().err
-    assert "bit widths must be integers" in err
-    assert "Traceback" not in err
-
-
 # ---------------------------------------------------------------------------
 # Malformed inputs end in a documented exit code and a one-line error
 # ---------------------------------------------------------------------------
@@ -572,19 +550,33 @@ def _run_fails(argv, capsys, code=4):
 ])
 def test_prune_malformed_layer_size_exits_4(tmp_path, capsys, model_file,
                                             field, value, message):
-    blob = model_file[0].read_bytes()
-    magic, version, head_len = struct.unpack_from("<4sIQ", blob)
-    header = json.loads(blob[16:16 + head_len])
-    header["layers"][0][field] = value
-    head = json.dumps(header, sort_keys=True).encode("utf-8")
     bad = tmp_path / "bad.bin"
-    bad.write_bytes(struct.pack("<4sIQ", magic, version, len(head)) + head
-                    + blob[16 + head_len:])
+    bad.write_bytes(with_header(model_file[0].read_bytes(),
+                                lambda h: h["layers"][0].update({field: value})))
     cfg = write_json(tmp_path / "prune.json",
                      {"model": str(bad), "input_hw": [16, 16]})
     err = _run_fails(["prune", "--config", cfg, "--out", str(tmp_path / "o")],
                      capsys)
     assert message in err
+
+
+@pytest.mark.parametrize("field", ["stride", "padding"])
+@pytest.mark.parametrize("kind", ["conv", "deconv"])
+@pytest.mark.parametrize("command", ["quantize", "prune"])
+def test_layer_step_past_its_bound_exits_4(tmp_path, capsys, rng, command, kind,
+                                           field):
+    # quantize runs a forward pass and prune counts ops; both stop at the load
+    model = ModelSpec(name="m", role="main_encoder",
+                      layers=[make_conv(3, 4, s=2, rng=rng, kind=kind)])
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(with_header(save_model(model),
+                                lambda h: h["layers"][0].update({field: 2 ** 40})))
+    cfg = (quantize_config(tmp_path, rng, bad) if command == "quantize" else
+           write_json(tmp_path / "prune.json", {"model": str(bad)}))
+    err = _run_fails([command, "--config", cfg, "--out", str(tmp_path / "o")],
+                     capsys)
+    assert (f"layer sizes ({field}) must be at most {MAX_LAYER_STEP}; "
+            f"got {2 ** 40}") in err
 
 
 def test_tile_tensor_whose_size_wraps_int64_exits_4(tmp_path, capsys):

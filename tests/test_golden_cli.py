@@ -130,7 +130,7 @@ GOLDEN = {
         "prune_report.json":
             "33fee8baf84d83b7c03fe6396f3b7a89cfd893aeb9de54f4dfd6b9e43041965c",
         "pruned_model.bin":
-            "ae1f13e38e4f24eaa8a078f0948f400ee19c219a0b2f3848ced2314439ad4b21",
+            "faa6957b6db11da95db73031d7e5ff4621f2989ae4ca9a90deb68d8c533ff2d2",
     },
     "prune-defaults": {
         "prune_report.csv":
@@ -138,7 +138,7 @@ GOLDEN = {
         "prune_report.json":
             "f7096fc1010fabbf077f734753bbdcf996801d0923005fdf3f49263274f104dc",
         "pruned_model.bin":
-            "d44d7e9ce5ed0fd2e1866c06a125a437d094f2b6c6265555bb4457aaf0b7024b",
+            "9d0118307aefcce6d799c4d330a908ea41fc7cdac145e6980330f7ac6632719b",
     },
     "prune-hyperprior-defaults": {
         "prune_report.csv":
@@ -146,7 +146,7 @@ GOLDEN = {
         "prune_report.json":
             "dad933a0cd00b89c95d7c21d53acf6a10fdc7cf59b5e3426d2f352e4aed16672",
         "pruned_model.bin":
-            "b4343c2542f08f071a0b0b46a8b617d18dc238ecef3cebb7d747be6877d088c3",
+            "9f13afbb6e0c895892d96c940c7d4cbed39a848d880062f842f79d65b01d0f89",
     },
     "simulate-scenario-all-keys": {
         "sim_report.csv":

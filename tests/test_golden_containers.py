@@ -23,15 +23,32 @@ from lic_hw_kit import (
     ptq,
     save_model,
     save_quantized_model,
+    traffic_of_model,
 )
 from lic_hw_kit.quantizer import INPUT_INDEX
+from conftest import with_header
 
-MODEL_SHA256 = "b08837573f4fb7c67e4cbe62cf03d17431f26b1a80350c8295895d38cb250f72"
+MODEL_SHA256 = "a45fd832899daff8c4db8fc1ef6cd5e62b88fa88b8ff5aa42fa1830d98865975"
 QUANT_SHA256 = {
-    "default": "aa2ba704625ec991a3ed5721f598b48dc996a9b63e8bee8c77b718b59f073cb5",
-    "mixed": "4df40e5f8902c9147047870d272664ea1088d5db63bf5650e79091f81d2dc04b",
-    "overrides": "d0ef6414696ff144b0c41c76a0ffe5e7395e3db2d04b7f4a68f3480febc7101d",
+    "default": "8a4db0f053d5b927985c309ff7d55dae6d3f7d941c9a6539b38c8260e4a2734a",
+    "mixed": "0876acb880e386a3b46faad3a0e60794e22bc32fdff30a95f2b66b4b850f4d94",
+    "overrides": "3be5a0c7d340893d5d000dfa19c8ec8865804d91d19df937b849634b3b21bd67",
 }
+
+# The same containers in the older header layout, which also carried a
+# "format" key and a "bit_widths" list that no reader used; loaders skip
+# both, as they skip any key they do not read.
+OLD_LAYOUT = {
+    "model": ("lic-model",
+              "b08837573f4fb7c67e4cbe62cf03d17431f26b1a80350c8295895d38cb250f72"),
+    "default": ("lic-quant-model",
+                "aa2ba704625ec991a3ed5721f598b48dc996a9b63e8bee8c77b718b59f073cb5"),
+    "mixed": ("lic-quant-model",
+              "4df40e5f8902c9147047870d272664ea1088d5db63bf5650e79091f81d2dc04b"),
+    "overrides": ("lic-quant-model",
+                  "d0ef6414696ff144b0c41c76a0ffe5e7395e3db2d04b7f4a68f3480febc7101d"),
+}
+OLD_BIT_WIDTHS = [8, 16, 8, 8, 16]
 
 POLICIES = {
     "default": PrecisionPolicy(),
@@ -66,8 +83,7 @@ def golden_model() -> ModelSpec:
         filt("deconv", 6, 4, 3, 2, 1),
         norm("igdn", 4, 0.75),
     ]
-    return ModelSpec(name="golden", layers=layers, role="main_decoder",
-                     bit_widths=[8, 16, 8, 8, 16])
+    return ModelSpec(name="golden", layers=layers, role="main_decoder")
 
 
 def golden_stats(model: ModelSpec) -> CalibrationStats:
@@ -101,3 +117,33 @@ def test_quantized_container_bytes_are_pinned(name):
     buf = save_quantized_model(qm)
     assert _sha(buf) == QUANT_SHA256[name]
     assert save_quantized_model(load_quantized_model(buf)) == buf
+
+
+def _containers(name):
+    """(new bytes, load, save) of one golden container."""
+    model = golden_model()
+    if name == "model":
+        return save_model(model), load_model, save_model
+    qm = ptq(model, golden_stats(model), POLICIES[name])
+    return save_quantized_model(qm), load_quantized_model, save_quantized_model
+
+
+@pytest.mark.parametrize("name", sorted(OLD_LAYOUT))
+def test_old_header_layout_loads_and_saves_in_the_new_one(name):
+    buf, load, save = _containers(name)
+    fmt, digest = OLD_LAYOUT[name]
+    old = with_header(buf, lambda h: h.update(format=fmt,
+                                              bit_widths=OLD_BIT_WIDTHS))
+    assert _sha(old) == digest
+    assert save(load(old)) == buf
+
+
+@pytest.mark.parametrize("name", ["mixed", "overrides"])
+def test_traffic_counts_each_layer_at_the_width_ptq_gives_it(name):
+    model = golden_model()
+    qm = ptq(model, golden_stats(model), POLICIES[name])
+    rows = traffic_of_model(model, (16, 16), POLICIES[name])
+    weighted = [li for li, layer in enumerate(model.layers)
+                if layer.weights is not None]
+    assert [row.bits for row in rows] == \
+        [qm.tensor_params[(li, "weights")].bits for li in weighted]

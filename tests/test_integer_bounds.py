@@ -13,7 +13,6 @@ from lic_hw_kit import (
     FixedPointFormat,
     LayerTraffic,
     LayerSpec,
-    ModelSpec,
     ParameterError,
     PhaseSchedule,
     PrecisionPolicy,
@@ -24,6 +23,7 @@ from lic_hw_kit import (
     quant_params_from_stats,
 )
 from lic_hw_kit.errors import integral_bits
+from lic_hw_kit.model import MAX_LAYER_STEP
 from lic_hw_kit.perf_model import MAX_CORES
 from lic_hw_kit.pruning import MAX_ITERATIONS
 
@@ -42,22 +42,16 @@ def _shapes(field, v):
     return w[("out_channels", "in_channels", "kernel").index(field)]
 
 
-def _model_bits(v):
-    relu = LayerSpec(kind="relu", in_channels=2, out_channels=2)
-    return ModelSpec(name="m", layers=[relu], role="main_encoder",
-                     bit_widths=[v]).bit_widths[0]
-
-
 _TRAFFIC = {"h": 4, "w": 4, "n_in": 2, "n_out": 2, "kernel": 3, "bits": 8}
 
 # (id, build(value) -> stored value, least, most, what the error names)
 SITES = [
-    *[(f"LayerSpec.{f}", lambda v, f=f: _conv(f, v), least, None, f)
-      for f, least in (("in_channels", 1), ("out_channels", 1), ("kernel", 1),
-                       ("stride", 1), ("padding", 0))],
+    *[(f"LayerSpec.{f}", lambda v, f=f: _conv(f, v), least, most, f)
+      for f, least, most in (("in_channels", 1, None), ("out_channels", 1, None),
+                             ("kernel", 1, None), ("stride", 1, MAX_LAYER_STEP),
+                             ("padding", 0, MAX_LAYER_STEP))],
     *[(f"tensor_shapes.{f}", lambda v, f=f: _shapes(f, v), 1, None, f)
       for f in ("in_channels", "out_channels", "kernel")],
-    ("ModelSpec.bit_widths", _model_bits, 1, None, "bit widths"),
     ("QuantParams.bits", lambda v: QuantParams(1.0, 0, v).bits, 2, 32, "bit"),
     ("quant_params_from_stats.bits",
      lambda v: quant_params_from_stats(StatRange(-1.0, 1.0), v).bits, 2, 32, "bit"),

@@ -185,8 +185,7 @@ def oracle_dequantize_model(qm):
             ))
         else:
             layers.append(layer)
-    return ModelSpec(name=qm.model.name, layers=layers, role=qm.model.role,
-                     bit_widths=qm.model.bit_widths)
+    return ModelSpec(name=qm.model.name, layers=layers, role=qm.model.role)
 
 
 def oracle_apply_keeps(model, keep_out):
@@ -222,8 +221,7 @@ def oracle_apply_keeps(model, keep_out):
                 in_channels=len(keep_in),
                 out_channels=len(keep_in),
             ))
-    return ModelSpec(name=model.name, layers=layers, role=model.role,
-                     bit_widths=model.bit_widths)
+    return ModelSpec(name=model.name, layers=layers, role=model.role)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +234,7 @@ def _stats_dict(stats):
 
 
 def _assert_same_model(got, want):
-    assert (got.name, got.role, got.bit_widths) == \
-        (want.name, want.role, want.bit_widths)
+    assert (got.name, got.role) == (want.name, want.role)
     assert len(got.layers) == len(want.layers)
     for a, b in zip(got.layers, want.layers):
         assert (a.kind, a.in_channels, a.out_channels, a.kernel, a.stride,

@@ -16,7 +16,7 @@ from lic_hw_kit import (
     traffic_of_model,
     workload_from_model,
 )
-from lic_hw_kit.model import layer_extents
+from lic_hw_kit.model import MAX_LAYER_STEP, layer_extents
 from conftest import make_conv, make_gdn, rand_tensor
 
 _CONV_GEOMETRY = [(k, s, p) for k in (1, 3, 5) for s in (1, 2) for p in (0, 1, 2)]
@@ -102,6 +102,22 @@ def test_layer_sizes_must_be_integers(rng, field, value):
     with pytest.raises(ParameterError, match=f"layer sizes \\({field}\\)"):
         LayerSpec(kind="conv", **{**sizes, field: value},
                   weights=good.weights, bias=good.bias)
+
+
+@pytest.mark.parametrize("value", [MAX_LAYER_STEP + 1, 2 ** 40, 1e308])
+@pytest.mark.parametrize("field", ["stride", "padding"])
+@pytest.mark.parametrize("kind", ["conv", "deconv"])
+def test_stride_and_padding_are_bounded(rng, kind, field, value):
+    # no payload byte backs these two, so the constructor bounds them
+    # before any forward pass could size a padded input or an output
+    good = make_conv(3, 4, rng=rng, kind=kind)
+    sizes = {**good.scalars(), field: value}
+    with pytest.raises(ParameterError, match=f"layer sizes \\({field}\\) must be "
+                                             f"at most {MAX_LAYER_STEP}"):
+        LayerSpec(**sizes, weights=good.weights, bias=good.bias)
+    layer = LayerSpec(**{**sizes, field: MAX_LAYER_STEP}, weights=good.weights,
+                      bias=good.bias)
+    assert getattr(layer, field) == MAX_LAYER_STEP
 
 
 def test_layer_sizes_are_stored_as_python_ints(rng):

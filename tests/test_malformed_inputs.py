@@ -6,7 +6,6 @@ derandomized with a small example budget, so the cases are the same on
 every run.
 """
 
-import json
 import math
 import struct
 
@@ -32,7 +31,7 @@ from lic_hw_kit import (
     save_tensor,
 )
 from lic_hw_kit.cli import read_ppm, write_ppm
-from conftest import make_encoder, rand_tensor
+from conftest import make_encoder, rand_tensor, with_header
 
 _FUZZ = settings(derandomize=True, max_examples=60, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
@@ -99,16 +98,6 @@ def _put(header, path, value):
     header[path[-1]] = value
 
 
-def _with_header(blob, edit):
-    """The container with edit(header) applied to its JSON header."""
-    _, version, head_len = _PREFIX.unpack_from(blob)
-    header = json.loads(blob[_PREFIX.size:_PREFIX.size + head_len])
-    edit(header)
-    head = json.dumps(header, sort_keys=True).encode("utf-8")
-    return (_PREFIX.pack(blob[:4], version, len(head)) + head
-            + blob[_PREFIX.size + head_len:])
-
-
 _JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(), st.text(max_size=3),
     st.floats(allow_nan=True, allow_infinity=True),
@@ -127,7 +116,7 @@ def test_replaced_header_values_raise_toolkit_errors(name, data):
         path = data.draw(st.sampled_from(list(_header_paths(header))))
         _put(header, path, data.draw(_JSON_VALUES))
 
-    _loads_or_raises_toolkit_error(load, _with_header(blob, edit))
+    _loads_or_raises_toolkit_error(load, with_header(blob, edit))
 
 
 @pytest.mark.parametrize("name, path, value", [
@@ -144,7 +133,7 @@ def test_replaced_header_values_raise_toolkit_errors(name, data):
 def test_malformed_header_values_raise_toolkit_errors(name, path, value):
     blob, load = FILES[name]
     with pytest.raises(ToolkitError):
-        load(_with_header(blob, lambda header: _put(header, path, value)))
+        load(with_header(blob, lambda header: _put(header, path, value)))
 
 
 @pytest.mark.parametrize("name, blob", [

@@ -5,6 +5,7 @@ from lic_hw_kit import (
     DpuConfig,
     LayerTraffic,
     ParameterError,
+    PrecisionPolicy,
     WorkloadProfile,
     bandwidth_load,
     estimate_fps,
@@ -138,11 +139,19 @@ def test_bandwidth_sums_layers():
 
 def test_traffic_of_model_respects_bit_widths(rng):
     model = make_encoder(rng)
-    wide = traffic_of_model(model, (16, 16), default_bits=16)
-    narrow = traffic_of_model(model, (16, 16), default_bits=8)
+    wide = traffic_of_model(model, (16, 16), PrecisionPolicy(default_bits=16))
+    narrow = traffic_of_model(model, (16, 16), PrecisionPolicy(default_bits=8))
     wb, _ = bandwidth_load(wide)
     nb, _ = bandwidth_load(narrow)
     assert wb == 2 * nb
+
+
+def test_traffic_of_model_rejects_an_override_naming_no_layer(rng):
+    # the check ptq makes, so a byte count and a quantization never
+    # disagree about which layers a policy narrows
+    model = make_encoder(rng)  # layers 0..4
+    with pytest.raises(ParameterError, match=r"overrides name layers \[5, 9\]"):
+        traffic_of_model(model, (16, 16), PrecisionPolicy(overrides={5: 4, 9: 4}))
 
 
 def test_workload_from_model_matches_flops(rng):

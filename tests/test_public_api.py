@@ -16,7 +16,7 @@ import types
 
 import lic_hw_kit
 
-PUBLIC_NAMES_SHA256 = "d165b4b42e2305f01dfec70a2a31909b15f7fabd6d92da115d2b234d5200064b"
+PUBLIC_NAMES_SHA256 = "3e8f381a74f5f8e788efb70f31e553a8f863e9a39fa331d1e1841f49957b135b"
 LIBRARY_MODULES = sorted(
     m.name for m in pkgutil.iter_modules(lic_hw_kit.__path__) if m.name != "cli")
 

@@ -20,7 +20,6 @@ from lic_hw_kit import (
     quant_params_from_stats,
     quantize,
     quantize_with_stats,
-    ste_grad,
 )
 from lic_hw_kit.quantizer import INPUT_INDEX, SCALE_FLOOR
 from conftest import make_encoder, rand_tensor
@@ -301,31 +300,3 @@ def test_fake_quant_error_shrinks_with_width(rng):
     err16 = np.abs(fake_quant_forward(
         model, stats, PrecisionPolicy(default_bits=16), x).data - ref).max()
     assert err16 <= err8
-
-
-# ---------------------------------------------------------------------------
-# Straight-through estimator
-# ---------------------------------------------------------------------------
-
-
-def test_ste_grad_masks_saturated_elements():
-    p = quant_params_from_stats(StatRange(-1.0, 1.0), bits=8)
-    x = np.array([0.0, 0.5, 2.0, -2.0])
-    up = np.full_like(x, 3.0)
-    g = ste_grad(up, x, p)
-    assert g[0] == 3.0 and g[1] == 3.0
-    assert g[2] == 0.0 and g[3] == 0.0  # clipped: no gradient
-
-
-def test_ste_grad_zero_when_all_saturated():
-    p = quant_params_from_stats(StatRange(-1.0, 1.0), bits=8)
-    x = np.full(6, 9.0)
-    g = ste_grad(np.ones(6), x, p)
-    assert np.array_equal(g, np.zeros(6))
-
-
-def test_ste_grad_shape_mismatch_rejected():
-    from lic_hw_kit import ShapeError
-    p = quant_params_from_stats(StatRange(-1.0, 1.0), bits=8)
-    with pytest.raises(ShapeError):
-        ste_grad(np.ones(4), np.ones(3), p)

@@ -145,12 +145,6 @@ def test_model_requires_matching_channel_chain(rng):
                   layers=[make_conv(3, 4, rng=rng)])
 
 
-def test_bit_widths_length_checked(rng):
-    with pytest.raises(ShapeError):
-        ModelSpec(name="m", role="main_encoder",
-                  layers=[make_conv(3, 4, rng=rng)], bit_widths=[8, 8])
-
-
 @pytest.mark.parametrize("role", ["weights", "bias"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_layer_spec_rejects_nonfinite_parameters(rng, role, bad):
@@ -161,30 +155,6 @@ def test_layer_spec_rejects_nonfinite_parameters(rng, role, bad):
         with pytest.raises(ParameterError, match="finite"):
             LayerSpec(kind=kind, in_channels=3, out_channels=4, kernel=3,
                       padding=1, **arrays)
-
-
-@pytest.mark.parametrize("widths", [[2.5], ["a"], ["8"], [None], [float("nan")],
-                                    [float("inf")]])
-def test_bit_widths_must_be_integers(rng, widths):
-    with pytest.raises(ParameterError, match="integers"):
-        ModelSpec(name="m", role="main_encoder",
-                  layers=[make_conv(3, 4, rng=rng)], bit_widths=widths)
-
-
-@pytest.mark.parametrize("widths", [5, 8.0, np.int64(8)])
-def test_bit_widths_must_be_a_sequence(rng, widths):
-    with pytest.raises(ParameterError, match="bit widths must be integers"):
-        ModelSpec(name="m", role="main_encoder",
-                  layers=[make_conv(3, 4, rng=rng)], bit_widths=widths)
-
-
-def test_bit_widths_accept_integral_values(rng):
-    m = ModelSpec(name="m", role="main_encoder",
-                  layers=[make_conv(3, 4, rng=rng)], bit_widths=[np.int64(6)])
-    assert m.bit_widths == [6] and type(m.bit_widths[0]) is int
-    m = ModelSpec(name="m", role="main_encoder",
-                  layers=[make_conv(3, 4, rng=rng)], bit_widths=[8.0])
-    assert m.bit_widths == [8]
 
 
 # ---------------------------------------------------------------------------
