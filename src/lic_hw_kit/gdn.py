@@ -12,13 +12,24 @@ Each stage boundary re-quantizes into that stage's declared format, and
 every computation between boundaries is integer arithmetic, so results
 are reproducible bit for bit.
 
-The fixed-point pipeline quantizes the parameters once per call and then
-runs every stage over one block of about _BLOCK elements (all channels
-of a run of spatial positions) before it moves on, so each stage's int64
-temporaries stay in cache instead of streaming whole maps through
-memory. GDN mixes channels only within a position, so blocking does not
-change a bit of the output or the saturation counts; the MAC headroom
-check runs per block and raises the same ParameterError.
+Both pipelines run over one block of at most _BLOCK elements (all
+channels of a run of spatial positions, or of a few whole images) at a
+time, so each stage's temporaries stay in cache instead of streaming
+whole maps through memory; the fixed-point one quantizes the parameters
+once per call first. GDN mixes channels only within a position, so
+blocking changes no bit of the fixed-point output or saturation counts;
+the positivity check of the float pool and the MAC headroom check of
+the fixed-point accumulate run per block and raise the same
+ParameterError.
+
+The channel sum of both pools is a (C, C) @ (C, P) float64 GEMM, cut
+into column panels of at most _PANEL multiply-adds. OpenBLAS runs a
+GEMM that small on the calling thread; a larger one wakes a helper
+thread, which then spins through the elementwise stages that follow:
+it nearly doubled the fixed-point datapath's CPU time for no gain in
+its wall time. Blocks and panels
+are whole _TILE-position tiles of the GEMM kernel, so every position
+but the last P mod _TILE of a map sums as in one whole-map product.
 
 After the accumulate, the root and reciprocal stages depend on nothing
 but the accumulator integer, which saturation and the floor at one step
@@ -73,6 +84,29 @@ __all__ = [
 ]
 
 
+# Elements (channels x positions) per block of the float and fixed-point
+# pipelines: a block's 8-byte temporaries (256 KB each) stay in a 2 MB
+# L2 cache.
+_BLOCK = 1 << 15
+
+# Multiply-adds per channel-mix GEMM. OpenBLAS 0.3.31 splits a float64
+# GEMM across threads by its size: a (128, 128) @ (128, N) product runs
+# on the calling thread up to N = 56 and on two from N = 64 (cpu/wall
+# 1.55 at 64, 1.98 at 128), and after a threaded product the idle helper
+# thread burns about 0.13 s of CPU. A panel of 2**19 runs at 55-60
+# GFLOP/s on one thread, against about 80 for a 256-position block's
+# product on two. A module constant like _BLOCK, not a setting: it only
+# has to stay below the threading threshold, and any value whose panels
+# are whole tiles gives the same output bits.
+_PANEL = 1 << 19
+
+# Positions per float64 GEMM tile: OpenBLAS's AVX-512 kernel computes 8
+# positions at a time, and sums a remainder of 1-4 positions (or a lone
+# column, which numpy hands to GEMV) in another order. Blocks and panels
+# that are whole tiles leave every position's sum as in one product.
+_TILE = 8
+
+
 @dataclass(frozen=True)
 class GdnParams:
     """Per-channel offsets beta (C,) and pairwise weights gamma (C, C)."""
@@ -109,42 +143,111 @@ class GdnParams:
         return self.beta.shape[0]
 
 
-def _channel_mix(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum_j gamma[i, j] * v[n, j, ...] for float64 operands of shape
-    (N, C, ...), as one (C, C) @ (C, positions) BLAS GEMM per image: a
-    1x1 GDN pool is a matrix product over channels."""
-    n, c = v.shape[:2]
-    return (gamma @ v.reshape(n, c, math.prod(v.shape[2:]))).reshape(v.shape)
-
-
 def _check_channels(x: Tensor, params: GdnParams):
     if x.c != params.channels:
         raise ShapeError(f"input has {x.c} channels but gdn params expect "
                          f"{params.channels}")
 
 
-def _pool(x: Tensor, params: GdnParams) -> np.ndarray:
-    """beta_i + sum_j gamma_ij * x_j**2 in float64, checked strictly
-    positive. The channel sum runs through _channel_mix, so BLAS may add
-    in any order; in float64 the effect of that order stays far below the
-    float32 rounding of the outputs."""
-    _check_channels(x, params)
-    sq = x.data.astype(np.float64) ** 2
-    acc = _channel_mix(params.gamma, sq)
-    base = acc + params.beta[None, :, None, None]
+def _tiles(n: int) -> int:
+    """n columns rounded down to whole _TILE-column tiles; below one tile,
+    n itself (at least 1)."""
+    return n - n % _TILE if n >= _TILE else max(1, n)
+
+
+def _blocks(n: int, c: int, hw: int):
+    """Index tuples that cut an (N, C, hw) map into blocks of at most
+    _BLOCK elements (or one position of every channel): whole images
+    while they fit, else runs of whole tiles of positions of one image."""
+    per = max(1, _BLOCK // max(c, 1))
+    if per < hw:
+        per = _tiles(per)
+    imgs = max(1, per // max(hw, 1))
+    for i in range(0, n, imgs):
+        for p in range(0, hw, per):
+            yield np.s_[i:i + imgs, :, p:p + per]
+
+
+def _blockwise(fn, v: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """fn over the _blocks of an (N, C, H, W) array: a fresh array of v's
+    shape and the given dtype holding fn(block) for each (N, C, P) block,
+    cast once on assignment."""
+    n, c = v.shape[:2]
+    hw = math.prod(v.shape[2:])
+    out = np.empty(v.shape, dtype=dtype)
+    ov, vv = out.reshape(n, c, hw), v.reshape(n, c, hw)
+    for blk in _blocks(n, c, hw):
+        ov[blk] = fn(vv[blk])
+    return out
+
+
+def _channel_mix(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_j gamma[i, j] * v[n, j, ...] for a float64 block v of shape
+    (N, C, ...): a 1x1 GDN pool is a matrix product over channels.
+
+    The (C, C) @ (C, P) product runs as np.matmul calls over column
+    panels of w = _PANEL // C**2 columns rounded down to whole tiles (32
+    at C = 128, 8 at C = 192, 8192 at C = 8), written into one float64
+    output. Up to C = 256 a panel has at most _PANEL multiply-adds, so
+    OpenBLAS runs it on the calling thread. Panels cut from a block have
+    short rows; cut from the 4096-position rows of a whole 64 x 64 map,
+    they made gdn_float 1.8x slower.
+    With block and panel edges on whole tiles, each column gets the sum
+    it gets in one whole-map product, except the last P mod _TILE
+    positions of a map, which both sum in a remainder kernel whose order
+    can depend on the product's size.
+    """
+    n, c = v.shape[:2]
+    p = math.prod(v.shape[2:])
+    vv = v.reshape(n, c, p)
+    out = np.empty((n, c, p))
+    w = _tiles(_PANEL // max(c * c, 1))
+    for s in range(0, p, w):
+        np.matmul(gamma, vv[:, :, s:s + w], out=out[:, :, s:s + w])
+    return out.reshape(v.shape)
+
+
+def _block_pool(sq: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """beta_i + sum_j gamma_ij * sq_j on one (N, C, P) float64 block,
+    checked strictly positive. BLAS may add the channel sum in any order;
+    in float64 the effect of that order stays far below the float32
+    rounding of the outputs."""
+    base = _channel_mix(gamma, sq)
+    base += beta[:, None]
     if base.size and base.min() <= 0:
         raise ParameterError("normalization pool is not strictly positive")
     return base
 
 
+def _pool(x: Tensor, params: GdnParams) -> np.ndarray:
+    """The float reference's pool over a whole map, block by block."""
+    _check_channels(x, params)
+    return _blockwise(
+        lambda xb: _block_pool(xb.astype(np.float64) ** 2, params.gamma, params.beta),
+        x.data,
+    )
+
+
+def _float_pipeline(x: Tensor, params: GdnParams, inverse: bool) -> Tensor:
+    """Square, pool, ** alpha, then multiply (igdn) or divide (gdn), in
+    float64 one block at a time, rounded once to float32."""
+    _check_channels(x, params)
+
+    def block(xb):
+        x64 = xb.astype(np.float64)
+        scale = _block_pool(x64 ** 2, params.gamma, params.beta)
+        scale **= params.alpha
+        return (np.multiply if inverse else np.divide)(x64, scale, out=scale)
+
+    return Tensor(_blockwise(block, x.data, np.float32))
+
+
 def gdn_float(x: Tensor, params: GdnParams) -> Tensor:
-    base = _pool(x, params)
-    return Tensor((x.data.astype(np.float64) / base ** params.alpha).astype(np.float32))
+    return _float_pipeline(x, params, inverse=False)
 
 
 def igdn_float(y: Tensor, params: GdnParams) -> Tensor:
-    base = _pool(y, params)
-    return Tensor((y.data.astype(np.float64) * base ** params.alpha).astype(np.float32))
+    return _float_pipeline(y, params, inverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +255,6 @@ def igdn_float(y: Tensor, params: GdnParams) -> Tensor:
 # ---------------------------------------------------------------------------
 
 STAGES = ("input", "square", "accum", "root", "recip", "output")
-
-# Elements (channels x positions) per block of the fixed-point pipeline:
-# a block's int64 temporaries (256 KB each) stay in a 2 MB L2 cache.
-_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -247,9 +346,9 @@ def _gamma_mac(gamma_q, sq):
     exactly whatever order BLAS adds in. Each limb's product is shifted
     back into an int64 accumulator. A total that could reach 2**62
     (max(gamma_q) * C * max(sq)) raises ParameterError before any product.
-    A limb product is the float pool's contraction, so it shares the
-    _channel_mix GEMM. numpy has no integer BLAS, so this beats an int64
-    matmul or einsum.
+    A limb product is the float pool's contraction, so it runs through
+    the same _channel_mix panels. numpy has no integer BLAS, so this
+    beats an int64 matmul or einsum.
     """
     c = sq.shape[1]
     bound = int(gamma_q.max()) * c if gamma_q.size else 0
@@ -344,17 +443,10 @@ def _fixed_pipeline(x: Tensor, params: GdnParams, formats: GdnStageFormats,
     table = (_stage_table(formats, inverse)
              if x.size and formats.accum.qmax <= _BLOCK else None)
     sat = dict.fromkeys(STAGES, 0)
-    n, c, hw = x.n, x.c, x.h * x.w
-    xv = x.data.reshape(n, c, hw)
-    out = np.empty(x.dims, dtype=np.float32)
-    ov = out.reshape(n, c, hw)
-    # whole images per block while they fit, else one image cut by position
-    per = max(1, _BLOCK // max(c, 1))
-    imgs = max(1, per // max(hw, 1))
-    for i in range(0, n, imgs):
-        for p in range(0, hw, per):
-            blk = np.s_[i:i + imgs, :, p:p + per]
-            ov[blk] = _fixed_block(xv[blk], beta_q, gamma_q, table, formats, inverse, sat)
+    out = _blockwise(
+        lambda xb: _fixed_block(xb, beta_q, gamma_q, table, formats, inverse, sat),
+        x.data, np.float32,
+    )
     return Tensor._adopt(out), sat
 
 
@@ -451,22 +543,30 @@ def _hybrid_pipeline(x, params, formats, stage, inverse):
     stage outside STAGES.
 
     Used to attribute error per stage; the isolated contributions are
-    diagnostics and do not sum to the full-pipeline error. Each float
-    stage is the float reference's own arithmetic (the pool is _pool's
-    _channel_mix) and each quantized one runs the datapath's helpers.
+    diagnostics and do not sum to the full-pipeline error. It runs over
+    the float reference's blocks, each float stage is the float
+    reference's own arithmetic (the pool is _block_pool) and each
+    quantized one runs the datapath's helpers.
     """
-    xv = x.data.astype(np.float64)
-    if stage == "input":
-        xv = _snap(xv, formats.input)
-    sq = xv ** 2
-    if stage == "square":
-        sq = _snap(sq, formats.square)
     gamma, beta = params.gamma, params.beta
     if stage == "accum":
         beta_q, gamma_q = _quantize_params(params, formats)
         gamma = from_fixed(gamma_q, formats.param)
         beta = from_fixed(beta_q, formats.accum)
-    acc = _channel_mix(gamma, sq) + beta[None, :, None, None]
+    return _blockwise(
+        lambda xb: _hybrid_block(xb.astype(np.float64), gamma, beta, formats, stage, inverse),
+        x.data,
+    )
+
+
+def _hybrid_block(xv, gamma, beta, formats, stage, inverse):
+    """_hybrid_pipeline on one (N, C, P) float64 block."""
+    if stage == "input":
+        xv = _snap(xv, formats.input)
+    sq = xv ** 2
+    if stage == "square":
+        sq = _snap(sq, formats.square)
+    acc = _block_pool(sq, gamma, beta)
     if stage == "accum":
         acc = np.maximum(_snap(acc, formats.accum), formats.accum.ulp)
     if stage == "root":

@@ -228,10 +228,14 @@ def layer_extents(model: ModelSpec, input_hw):
 
 
 def _tap_weights(layer: LayerSpec) -> np.ndarray:
-    """float64 weights as (K, K, C_out, C_in): one contiguous matrix per tap."""
-    return np.ascontiguousarray(
-        layer.weights.astype(np.float64).transpose(2, 3, 0, 1)
-    )
+    """float64 weights as (K, K, C_out, C_in): one contiguous matrix per tap.
+
+    The float32 weights are put in tap-major order by the cast itself, so
+    no float64 copy is transposed after it."""
+    w = layer.weights
+    cout, cin, k, _ = w.shape
+    taps = w.reshape(cout * cin, k * k).T.astype(np.float64, order="C")
+    return taps.reshape(k, k, cout, cin)
 
 
 # inner dimension a conv tap group aims for (see conv2d_forward)

@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from lic_hw_kit import Tensor, conv2d_forward, deconv2d_forward
+from lic_hw_kit import Tensor, conv2d_forward, deconv2d_forward, model
 from conftest import make_conv, within_float64_accumulation
 
 
@@ -163,3 +163,18 @@ def test_tolerance_rejects_float32_accumulation():
     bad = float32_gemm_conv(x, layer.weights, layer.bias, 2, 2)
     assert bad.shape == want.shape
     assert not within_float64_accumulation(bad, want)
+
+
+@pytest.mark.parametrize("cin,cout,k", [(3, 128, 5), (128, 3, 5), (3, 3, 1),
+                                        (1, 1, 1), (7, 5, 3), (128, 128, 5)])
+@pytest.mark.parametrize("kind", ["conv", "deconv"])
+def test_tap_weights_match_transposed_float64_copy(cin, cout, k, kind):
+    """The tap-major cast is byte for byte the float64 copy of the
+    weights transposed to (K, K, C_out, C_in) that it replaced."""
+    layer = make_conv(cin, cout, k=k, p=k // 2, rng=np.random.default_rng([cin, k]),
+                      kind=kind)
+    want = np.ascontiguousarray(layer.weights.astype(np.float64).transpose(2, 3, 0, 1))
+    got = model._tap_weights(layer)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
