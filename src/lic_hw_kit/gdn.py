@@ -219,15 +219,6 @@ def _block_pool(sq: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarr
     return base
 
 
-def _pool(x: Tensor, params: GdnParams) -> np.ndarray:
-    """The float reference's pool over a whole map, block by block."""
-    _check_channels(x, params)
-    return _blockwise(
-        lambda xb: _block_pool(xb.astype(np.float64) ** 2, params.gamma, params.beta),
-        x.data,
-    )
-
-
 def _float_pipeline(x: Tensor, params: GdnParams, inverse: bool) -> Tensor:
     """Square, pool, ** alpha, then multiply (igdn) or divide (gdn), in
     float64 one block at a time, rounded once to float32."""

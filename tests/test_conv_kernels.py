@@ -5,7 +5,9 @@ The einsum kernels below are the package's earlier implementation,
 kept verbatim on raw arrays as the oracle. Both accumulate in float64
 and round once to float32; only the order of the float64 additions
 inside a tap differs, so results must agree to within one float32
-spacing of each element plus 1e-9 of the largest magnitude.
+spacing of each element plus 1e-9 of the largest magnitude. The grouped
+deconv is also held byte for byte to the one-GEMM-per-tap deconv it
+replaced.
 """
 
 from unittest import mock
@@ -51,6 +53,26 @@ def einsum_deconv(x, weights, bias, stride, padding):
     out = full[:, :, p:p + oh, p:p + ow] \
         + bias.astype(np.float64)[None, :, None, None]
     return out.astype(np.float32)
+
+
+def per_tap_deconv(x, layer):
+    """The package's previous deconv2d_forward, one (C_out, C_in) GEMM
+    per tap added in tap order: the tap groups must match it byte for
+    byte, since stacking taps changes no row's dot product."""
+    n, cin, h, w = x.shape
+    cout, k, s, p = layer.out_channels, layer.kernel, layer.stride, layer.padding
+    oh, ow = model.layer_output_dims(layer, h, w)
+    xcols = x.transpose(1, 0, 2, 3).reshape(cin, -1).astype(np.float64)
+    taps = model._tap_weights(layer)
+    prod = np.empty((cout, n, h, w), dtype=np.float64)
+    full = np.zeros((cout, n, (h - 1) * s + k, (w - 1) * s + k), dtype=np.float64)
+    for ky in range(k):
+        for kx in range(k):
+            np.matmul(taps[ky, kx], xcols, out=prod.reshape(cout, -1))
+            full[:, :, ky:ky + s * h:s, kx:kx + s * w:s] += prod
+    out = full[:, :, p:p + oh, p:p + ow] \
+        + layer.bias.astype(np.float64)[:, None, None, None]
+    return out.transpose(1, 0, 2, 3).astype(np.float32)
 
 
 def float32_gemm_conv(x, weights, bias, stride, padding):
@@ -112,6 +134,52 @@ def test_deconv_matches_einsum_oracle(k, s, p, n):
     layer = make_conv(3, 4, k=k, s=s, p=p, rng=rng, kind="deconv")
     x = rng.normal(0.0, 1.0, (n, 3, h, w)).astype(np.float32)
     check_kernel(deconv2d_forward, einsum_deconv, x, layer)
+
+
+def order_sensitive_deconv(layer, rng):
+    """The layer with each tap's weights either a constant +-2**60 or
+    noise scaled by 1e-20, at random, and no bias. On an all-ones input
+    the huge taps cancel exactly only in some orders of the tap adds,
+    and a tiny term survives only after they have, so a change in tap
+    order shows in the float32 output."""
+    cout, cin, k, _ = layer.weights.shape
+    huge = rng.choice([-2.0**60, 2.0**60], (1, 1, k, k))
+    tiny = rng.normal(0.0, 1.0, layer.weights.shape) * 1e-20
+    weights = np.where(rng.random((k, k)) < 0.5, huge, tiny).astype(np.float32)
+    return model.LayerSpec(kind="deconv", in_channels=cin, out_channels=cout, kernel=k,
+                           stride=layer.stride, padding=layer.padding, weights=weights,
+                           bias=np.zeros(cout, dtype=np.float32))
+
+
+@pytest.mark.parametrize("cout", [1, 3, 5, 48, 64, 128, 192])
+@pytest.mark.parametrize("cin", [1, 3, 128])
+def test_deconv_tap_groups_match_per_tap_kernel(cin, cout):
+    """Groups of min(K^2, 128 // C_out) taps, ragged last groups included,
+    against the per-tap GEMMs byte for byte, at 1x1, 3x3 and 5x5 kernels,
+    strides 1 and 2 and batches of 1 and 2, on random and on
+    order-sensitive weights."""
+    for k in (1, 3, 5):
+        for s in (1, 2):
+            for n in (1, 2):
+                rng = np.random.default_rng([cin, cout, k, s, n])
+                layer = make_conv(cin, cout, k=k, s=s, p=k // 2, rng=rng, kind="deconv")
+                x = rng.normal(0.0, 1.0, (n, cin, 6, 9)).astype(np.float32)
+                cases = ((layer, x), (order_sensitive_deconv(layer, rng), np.ones_like(x)))
+                for case, inp in cases:
+                    got = deconv2d_forward(Tensor(inp), case).data
+                    assert got.tobytes() == per_tap_deconv(inp, case).tobytes()
+
+
+@pytest.mark.parametrize("cout,gemms", [(3, 1), (5, 1), (48, 13), (128, 25)])
+def test_deconv_tap_groups_run_one_gemm_per_group(cout, gemms):
+    """The codec's 128 -> 3 last layer is one GEMM over all 25 taps."""
+    rng = np.random.default_rng(cout)
+    layer = make_conv(128, cout, k=5, s=2, p=2, rng=rng, kind="deconv")
+    x = rng.normal(0.0, 1.0, (1, 128, 15, 13)).astype(np.float32)
+    with mock.patch.object(np, "matmul", wraps=np.matmul) as spy:
+        got = deconv2d_forward(Tensor(x), layer).data
+    assert spy.call_count == gemms
+    assert got.tobytes() == per_tap_deconv(x, layer).tobytes()
 
 
 @pytest.mark.parametrize("s", [1, 2])

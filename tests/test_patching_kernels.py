@@ -6,15 +6,20 @@ arrays: extraction by ``np.stack`` of the slices, reassembly by a
 per-patch float64 ``astype`` add plus a per-patch ``cover`` map. Both
 sides add the same float64 values in the same row-major order and divide
 by the same integer counts, so every result must be bitwise equal, also
-for patches changed after extraction.
+for patches changed after extraction. That holds whatever number of
+threads the package deals its patches and row bands to, which the tests
+set by replacing its CPU count.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lic_hw_kit import ShapeError, Tensor, extract_patches, reassemble
+from lic_hw_kit import ShapeError, Tensor, extract_patches, patching, reassemble
 
 
 def stack_origins(extent, patch, stride):
@@ -86,6 +91,17 @@ def perturb(patches, seed):
     scale = 10.0 ** r.uniform(-3.0, 3.0, (len(patches), 1, 1, 1))
     noise = r.normal(0.0, 1.0, patches.shape)
     return (patches * scale + noise).astype(np.float32)
+
+
+def order_sensitive(patches, seed):
+    """Even patches become a constant +-2**70, odd ones noise scaled by
+    1e-20: a tiny term survives only where the huge ones have cancelled
+    before it is added, so the order of the adds shows in the result."""
+    r = np.random.default_rng(seed)
+    even = (np.arange(len(patches)) % 2 == 0)[:, None, None, None]
+    huge = r.choice([-2.0**70, 2.0**70], (len(patches), 1, 1, 1))
+    tiny = r.normal(0.0, 1.0, patches.shape) * 1e-20
+    return np.where(even, huge, tiny).astype(np.float32)
 
 
 def frame(seed, ch, h, w):
@@ -177,3 +193,94 @@ def test_outputs_are_fresh_frozen_float32():
         assert not t.data.flags.writeable
         for s in sources:
             assert not np.shares_memory(t.data, s.data)
+
+
+BAND = patching._BAND
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+@pytest.mark.parametrize("h", [BAND - 12, BAND, 2 * BAND, 2 * BAND + 13])
+def test_any_thread_count_and_band_split_keeps_every_bit(monkeypatch, cpus, h):
+    """Heights below, equal to, a multiple of and not a multiple of the
+    band; 1, 2, 3 and 8 threads, more than there are bands in some."""
+    monkeypatch.setattr(patching, "_usable_cpus", lambda: cpus)
+    x = frame(h, 2, h, 45)
+    ref_patches, ref_origins, _ = stack_extract(x, 12, 5)
+    patches, grid = extract_patches(Tensor(x), 12, 5)
+    assert patches.data.tobytes() == ref_patches.tobytes()
+    assert reassemble(patches, grid).data.tobytes() == x.tobytes()
+    moved = perturb(ref_patches, h)
+    want = loop_reassemble(moved, ref_origins, h, 45)
+    assert reassemble(Tensor(moved), grid).data.tobytes() == want.tobytes()
+    moved = order_sensitive(ref_patches, h)
+    want = loop_reassemble(moved, ref_origins, h, 45)
+    reverse = loop_reassemble(moved[::-1].copy(), ref_origins[::-1], h, 45)
+    assert not np.array_equal(reverse, want)
+    assert reassemble(Tensor(moved), grid).data.tobytes() == want.tobytes()
+
+
+def test_more_threads_than_cores_under_fast_switching(monkeypatch):
+    """Eight threads whatever the core count, switching every microsecond:
+    each patch and each band has one writer, so a share run twice, run
+    half or skipped would break the byte equality."""
+    monkeypatch.setattr(patching, "_usable_cpus", lambda: 8)
+    x = frame(41, 3, 5 * BAND + 3, 70)
+    ref, origins, _ = stack_extract(x, 16, 6)
+    moved = order_sensitive(ref, 41)
+    want = loop_reassemble(moved, origins, *x.shape[2:])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            patches, grid = extract_patches(Tensor(x), 16, 6)
+            assert patches.data.tobytes() == ref.tobytes()
+            assert reassemble(Tensor(moved), grid).data.tobytes() == want.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class CountingPool(patching.ThreadPoolExecutor):
+    made = []
+
+    def __init__(self, workers):
+        CountingPool.made.append(workers)
+        super().__init__(workers)
+
+
+# pool sizes made by one extraction (patches 24/12 of an h x 24 frame:
+# 2 at h = BAND, 7 at 3 * BAND) and then one reassembly (one or 3 bands)
+@pytest.mark.parametrize("cpus,h,pools", [
+    (1, 3 * BAND, []),          # one CPU: both inline
+    (2, BAND, [1]),             # one band: the reassembly runs inline
+    (2, 3 * BAND, [1, 1]),      # the caller plus one pool thread, per call
+    (8, 3 * BAND, [6, 2]),      # one share per patch or band at most
+])
+def test_threads_start_only_for_more_than_one_share(monkeypatch, cpus, h, pools):
+    """The worker count is the CPU count, capped by the items; one
+    share runs in the calling thread, so no pool is made for it."""
+    monkeypatch.setattr(patching, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(patching, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(CountingPool, "made", [])
+    patches, grid = extract_patches(Tensor(frame(3, 1, h, 24)), 24, 12)
+    with pytest.raises(ShapeError):  # checked before any thread starts
+        reassemble(Tensor(patches.data[1:]), grid)
+    reassemble(patches, grid)
+    assert CountingPool.made == pools
+
+
+def test_a_workers_exception_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(patching, "_usable_cpus", lambda: 3)
+    err = RuntimeError("share 2 failed")
+    done, failed_in = [], []
+
+    def work(share, _):
+        if share[0] == 2:
+            failed_in.append(threading.get_ident())
+            raise err
+        done.append(list(share))
+
+    with pytest.raises(RuntimeError) as info:
+        patching._spread(work, 7)
+    assert info.value is err
+    assert failed_in and failed_in[0] != threading.get_ident()  # in a pool thread
+    assert sorted(done) == [[0, 3, 6], [1, 4]]  # the other shares finished
