@@ -9,8 +9,9 @@ saturation is expected behaviour for narrow formats, not a failure).
 
 The square-root unit is a piecewise-linear lookup table over a fixed
 domain; callers that need an unbounded domain reduce their argument into
-it first (see gdn.py). The reciprocal unit seeds from a small table over
-[1, 2) and sharpens with two Newton-Raphson steps.
+it first with _reduce, as gdn.py does onto [1, 4). The reciprocal unit
+reduces onto [1, 2), seeds from a small table there and sharpens with
+two Newton-Raphson steps.
 """
 
 from __future__ import annotations
@@ -379,6 +380,18 @@ def _recip_seed_table(fmt: FixedPointFormat):
     return size, seeds
 
 
+def _reduce(q, frac: int, out_frac: int, octaves: int):
+    """Range reduction of positive Q-format integers with frac fraction
+    bits: (m, k) with q = m * 2**(octaves * k) and m on the out_frac grid
+    in [1, 2**octaves). k comes from q's bit length, read as the float64
+    exponent; m is q shifted once with rounding, then held in range."""
+    bits = np.frexp(q.astype(np.float64))[1].astype(np.int64)
+    k = (bits - 1 - frac) // octaves
+    m = shift_round(q, frac + octaves * k - out_frac)
+    one = np.int64(1) << out_frac
+    return np.clip(m, one, (one << octaves) - 1), k
+
+
 def _reciprocal_unclamped(d_int, fmt: FixedPointFormat):
     """Reciprocal of positive Q-format integers, before the clamp to fmt."""
     d_int = np.asarray(d_int, dtype=np.int64)
@@ -392,13 +405,7 @@ def _reciprocal_unclamped(d_int, fmt: FixedPointFormat):
         )
     f = fmt.frac_bits
     one = np.int64(1) << f
-
-    # d = m * 2**k with m in [1, 2)
-    exp = np.frexp(d_int.astype(np.float64))[1].astype(np.int64)  # bit length
-    k = exp - 1 - f
-    m = shift_round(d_int, k)
-    m = np.clip(m, one, 2 * one - 1)
-
+    m, k = _reduce(d_int, f, f, 1)
     size, seeds = _recip_seed_table(fmt)
     idx = ((m - one) * size) >> f
     r = seeds[np.clip(idx, 0, size - 1)]

@@ -16,11 +16,12 @@ Both pipelines run over one block of at most _BLOCK elements (all
 channels of a run of spatial positions, or of a few whole images) at a
 time, so each stage's temporaries stay in cache instead of streaming
 whole maps through memory; the fixed-point one quantizes the parameters
-once per call first. GDN mixes channels only within a position, so
-blocking changes no bit of the fixed-point output or saturation counts;
-the positivity check of the float pool and the MAC headroom check of
-the fixed-point accumulate run per block and raise the same
-ParameterError.
+once per call first. The float reference is the stage-free pass of the
+error attribution's block (_float_block), which quantizes one stage at
+a time. GDN mixes channels only within a position, so blocking changes
+no bit of the fixed-point output or saturation counts; the positivity
+check of the float pool and the MAC headroom check of the fixed-point
+accumulate run per block and raise the same ParameterError.
 
 The channel sum of both pools is a (C, C) @ (C, P) float64 GEMM, cut
 into column panels of at most _PANEL multiply-adds. OpenBLAS runs a
@@ -59,6 +60,7 @@ from .fixed_point import (
     SqrtLut,
     _clamp,
     _reciprocal_unclamped,
+    _reduce,
     _round_saturate,
     build_sqrt_lut,
     from_fixed,
@@ -219,18 +221,63 @@ def _block_pool(sq: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarr
     return base
 
 
+def _hybrid_pipeline(x, params, formats, stage, inverse, dtype=np.float64):
+    """_float_block over the blocks of x with exactly one stage quantized,
+    or none for a stage outside STAGES: that stage-free pass is the float
+    reference itself.
+
+    Used to attribute error per stage; the isolated contributions are
+    diagnostics and do not sum to the full-pipeline error.
+    """
+    gamma, beta = params.gamma, params.beta
+    if stage == "accum":
+        beta_q, gamma_q = _quantize_params(params, formats)
+        gamma = from_fixed(gamma_q, formats.param)
+        beta = from_fixed(beta_q, formats.accum)
+    return _blockwise(
+        lambda xb: _float_block(xb, gamma, beta, params.alpha, formats, stage, inverse),
+        x.data, dtype,
+    )
+
+
+def _float_block(xb, gamma, beta, alpha, formats, stage, inverse):
+    """One (N, C, P) block in float64: square, pool, ** alpha, then
+    multiply (igdn) or divide (gdn), the last two in place. The stage
+    named, if any, is quantized by the datapath's own helpers (root
+    implies alpha = 0.5). At recip, _recip_clamps shifts root_q left by
+    lift bits: at most 2**62, past every recip qmax, so that clamp
+    changes no output."""
+    xv = xb.astype(np.float64)
+    if stage == "input":
+        xv = _snap(xv, formats.input)
+    sq = xv ** 2
+    if stage == "square":
+        sq = _snap(sq, formats.square)
+    scale = _block_pool(sq, gamma, beta)
+    if stage == "accum":
+        scale = np.maximum(_snap(scale, formats.accum), formats.accum.ulp)
+    if stage == "root":
+        acc_q = _grid_q(scale, formats.accum.frac_bits, 1 << 62)
+        scale = from_fixed(_scale_stages(acc_q, formats, inverse=True)[0], formats.root)
+    else:
+        scale **= alpha
+    op = np.multiply if inverse else np.divide
+    if stage == "recip" and not inverse:
+        lift = max(0, formats.recip.frac_bits - formats.root.frac_bits)
+        root_q = _grid_q(scale, formats.root.frac_bits, 1 << (62 - lift))
+        recip_q = _recip_clamps(root_q, formats.root, formats.recip)[0]
+        scale, op = from_fixed(recip_q, formats.recip), np.multiply
+    out = op(xv, scale, out=scale)
+    if stage == "output":
+        out = _snap(out, formats.output)
+    return out
+
+
 def _float_pipeline(x: Tensor, params: GdnParams, inverse: bool) -> Tensor:
-    """Square, pool, ** alpha, then multiply (igdn) or divide (gdn), in
-    float64 one block at a time, rounded once to float32."""
+    """The float reference: _hybrid_pipeline with no stage quantized,
+    rounded once to float32."""
     _check_channels(x, params)
-
-    def block(xb):
-        x64 = xb.astype(np.float64)
-        scale = _block_pool(x64 ** 2, params.gamma, params.beta)
-        scale **= params.alpha
-        return (np.multiply if inverse else np.divide)(x64, scale, out=scale)
-
-    return Tensor(_blockwise(block, x.data, np.float32))
+    return Tensor(_hybrid_pipeline(x, params, None, None, inverse, np.float32))
 
 
 def gdn_float(x: Tensor, params: GdnParams) -> Tensor:
@@ -363,22 +410,10 @@ def _gamma_mac(gamma_q, sq):
 
 
 def _sqrt_unclamped(acc_q, acc_fmt, lut: SqrtLut, out_fmt):
-    """sqrt of positive accumulator values via [1, 4) range reduction,
-    before the clamp to out_fmt.
-
-    acc = m * 4**k with m in [1, 4), so sqrt(acc) = lut(m) * 2**k.
-    Exponents are split per element; shifts are exact or rounded once.
-    """
-    f_a = acc_fmt.frac_bits
-    f_l = lut.fmt.frac_bits
-    exp = np.frexp(acc_q.astype(np.float64))[1].astype(np.int64)  # bit length
-    e = exp - 1 - f_a
-    k = np.floor_divide(e, 2)
-    m = shift_round(acc_q, f_a + 2 * k - f_l)
-    one = np.int64(1) << f_l
-    m = np.clip(m, one, 4 * one - 1)
-    val = lut.eval_int(m)
-    return shift_round(val, f_l - out_fmt.frac_bits - k)
+    """sqrt of positive accumulator values, before the clamp to out_fmt:
+    acc = m * 4**k with m in [1, 4) (_reduce), so sqrt(acc) = lut(m) * 2**k."""
+    m, k = _reduce(acc_q, acc_fmt.frac_bits, lut.fmt.frac_bits, 2)
+    return shift_round(lut.eval_int(m), lut.fmt.frac_bits - out_fmt.frac_bits - k)
 
 
 def _recip_clamps(root_q, root_fmt, recip_fmt):
@@ -527,58 +562,6 @@ def _grid_q(v, frac_bits: int, limit: int):
     it moves only values whose cast or later shift would overflow int64."""
     q, _ = _round_saturate(v * (1 << frac_bits), 1, limit)
     return q.astype(np.int64)
-
-
-def _hybrid_pipeline(x, params, formats, stage, inverse):
-    """Float64 pipeline with exactly one stage quantized, or none for a
-    stage outside STAGES.
-
-    Used to attribute error per stage; the isolated contributions are
-    diagnostics and do not sum to the full-pipeline error. It runs over
-    the float reference's blocks, each float stage is the float
-    reference's own arithmetic (the pool is _block_pool) and each
-    quantized one runs the datapath's helpers.
-    """
-    gamma, beta = params.gamma, params.beta
-    if stage == "accum":
-        beta_q, gamma_q = _quantize_params(params, formats)
-        gamma = from_fixed(gamma_q, formats.param)
-        beta = from_fixed(beta_q, formats.accum)
-    return _blockwise(
-        lambda xb: _hybrid_block(xb.astype(np.float64), gamma, beta, formats, stage, inverse),
-        x.data,
-    )
-
-
-def _hybrid_block(xv, gamma, beta, formats, stage, inverse):
-    """_hybrid_pipeline on one (N, C, P) float64 block."""
-    if stage == "input":
-        xv = _snap(xv, formats.input)
-    sq = xv ** 2
-    if stage == "square":
-        sq = _snap(sq, formats.square)
-    acc = _block_pool(sq, gamma, beta)
-    if stage == "accum":
-        acc = np.maximum(_snap(acc, formats.accum), formats.accum.ulp)
-    if stage == "root":
-        acc_q = _grid_q(acc, formats.accum.frac_bits, 1 << 62)
-        root = from_fixed(_scale_stages(acc_q, formats, inverse=True)[0], formats.root)
-    else:
-        root = np.sqrt(acc)
-    if inverse:
-        out = xv * root
-    elif stage == "recip":
-        # _recip_clamps shifts root_q left by lift bits: at most 2**62,
-        # which is still past every recip qmax, so the clamp changes no output
-        lift = max(0, formats.recip.frac_bits - formats.root.frac_bits)
-        root_q = _grid_q(root, formats.root.frac_bits, 1 << (62 - lift))
-        recip_q = _recip_clamps(root_q, formats.root, formats.recip)[0]
-        out = xv * from_fixed(recip_q, formats.recip)
-    else:
-        out = xv / root
-    if stage == "output":
-        out = _snap(out, formats.output)
-    return out
 
 
 @dataclass

@@ -239,23 +239,33 @@ def _tap_weights(layer: LayerSpec) -> np.ndarray:
     return taps.reshape(k, k, cout, cin)
 
 
-# inner dimension a conv tap group aims for (see conv2d_forward)
 _GROUP_ROWS = 128
+
+
+def _tap_groups(k: int, thin: int) -> list:
+    """The K^2 taps in row-major order, cut into groups of g = min(K^2,
+    max(1, 128 // thin)) (the last may be shorter), each as (slice of the
+    tap-major weights, [(ky, kx) of each tap]). Stacking g taps of the
+    thin side (conv's C_in, deconv's C_out) gives BLAS about 128 inner
+    terms or rows per product; from thin = 128 up, each tap is a
+    product of its own."""
+    g = min(k * k, max(1, _GROUP_ROWS // thin))
+    offsets = [divmod(t, k) for t in range(k * k)]
+    return [(slice(t, t + g), offsets[t:t + g]) for t in range(0, k * k, g)]
 
 
 def conv2d_forward(x: Tensor, layer: LayerSpec) -> Tensor:
     """Strided 2-D cross-correlation with zero padding.
 
-    The K^2 taps, in row-major order, are taken in groups of
-    g = min(K^2, max(1, 128 // C_in)). The strided input windows of a
-    group's taps are gathered into one (g*C_in, N*H_out*W_out) float64
-    column buffer and multiplied by the group's (C_out, g*C_in) weights;
-    the group products are summed in float64 in tap order, the bias is
+    For each _tap_groups(K, C_in) group of g taps, the strided input
+    windows are gathered into one (g*C_in, N*H_out*W_out) float64 column
+    buffer and multiplied by the group's (C_out, g*C_in) weights; the
+    group products are summed in float64 in tap order, the bias is
     added, and the sum is rounded once to float32. A 3-channel first
     layer with a 5x5 kernel is thus one GEMM with an inner dimension of
-    75, not 25 GEMMs with an inner dimension of 3. From C_in = 128 up,
-    g = 1: wide layers run one GEMM per tap and sum the taps exactly as
-    a per-tap loop does, and their buffer holds one tap's window.
+    75, not 25 GEMMs with an inner dimension of 3. Wide layers (g = 1)
+    sum the taps exactly as a per-tap loop does, and their buffer holds
+    one tap's window.
     """
     if layer.kind != "conv":
         raise ParameterError(f"conv2d_forward got a {layer.kind} layer")
@@ -269,16 +279,15 @@ def conv2d_forward(x: Tensor, layer: LayerSpec) -> Tensor:
     padded = np.zeros((cin, n, x.h + 2 * p, x.w + 2 * p), dtype=np.float64)
     padded[:, :, p:p + x.h, p:p + x.w] = x.data.transpose(1, 0, 2, 3)
     taps = _tap_weights(layer).reshape(k * k, cout, cin)
-    g = min(k * k, max(1, _GROUP_ROWS // cin))
-    cols = np.empty((g, cin, n, oh, ow), dtype=np.float64)
+    groups = _tap_groups(k, cin)
+    cols = np.empty((len(groups[0][1]), cin, n, oh, ow), dtype=np.float64)
     prod = np.empty((cout, n * oh * ow), dtype=np.float64)
     acc = np.zeros((cout, n * oh * ow), dtype=np.float64)
-    for t0 in range(0, k * k, g):
-        size = min(g, k * k - t0)
-        for j in range(size):
-            ky, kx = divmod(t0 + j, k)
+    for group, offsets in groups:
+        for j, (ky, kx) in enumerate(offsets):
             cols[j] = padded[:, :, ky:ky + s * oh:s, kx:kx + s * ow:s]
-        w = taps[t0:t0 + size].transpose(1, 0, 2).reshape(cout, size * cin)
+        size = len(offsets)
+        w = taps[group].transpose(1, 0, 2).reshape(cout, size * cin)
         np.matmul(w, cols[:size].reshape(size * cin, -1), out=prod)
         acc += prod
     acc += layer.bias.astype(np.float64)[:, None]
@@ -288,16 +297,14 @@ def conv2d_forward(x: Tensor, layer: LayerSpec) -> Tensor:
 def deconv2d_forward(x: Tensor, layer: LayerSpec) -> Tensor:
     """Transposed convolution: scatter-add of stride-spaced kernel copies.
 
-    The input is reshaped once to (C_in, N*H*W) float64. The K^2 taps, in
-    row-major order, are taken in groups of g = min(K^2, max(1,
-    128 // C_out)), mirroring conv2d_forward: one (g*C_out, C_in) matrix
-    product per group, whose g tap slices are then added in tap order at
-    their stride-spaced offsets into a float64 canvas. The canvas is
-    cropped by the padding, the bias is added, and the sum is rounded
-    once to float32. Each output row of a product is the same C_in-term
-    dot product whatever rows are stacked with it, so a thin 128 -> 3
-    layer runs one GEMM instead of 25 and adds exactly what a per-tap
-    loop adds; from C_out = 128 up, g = 1.
+    The input is reshaped once to (C_in, N*H*W) float64. Each
+    _tap_groups(K, C_out) group of g taps is one (g*C_out, C_in) matrix
+    product, whose g tap slices are then added in tap order at their
+    stride-spaced offsets into a float64 canvas. The canvas is cropped
+    by the padding, the bias is added, and the sum is rounded once to
+    float32. Each output row of a product is the same C_in-term dot
+    product whatever rows are stacked with it, so a thin 128 -> 3 layer
+    runs one GEMM instead of 25 and adds exactly what a per-tap loop adds.
     """
     if layer.kind != "deconv":
         raise ParameterError(f"deconv2d_forward got a {layer.kind} layer")
@@ -310,16 +317,15 @@ def deconv2d_forward(x: Tensor, layer: LayerSpec) -> Tensor:
     n, h, w, cin, cout = x.n, x.h, x.w, layer.in_channels, layer.out_channels
     xcols = x.data.transpose(1, 0, 2, 3).reshape(cin, -1).astype(np.float64)
     taps = _tap_weights(layer).reshape(k * k, cout, cin)
-    g = min(k * k, max(1, _GROUP_ROWS // cout))
-    prod = np.empty((g, cout, n, h, w), dtype=np.float64)
+    groups = _tap_groups(k, cout)
+    prod = np.empty((len(groups[0][1]), cout, n, h, w), dtype=np.float64)
     full = np.zeros((cout, n, (h - 1) * s + k, (w - 1) * s + k),
                     dtype=np.float64)
-    for t0 in range(0, k * k, g):
-        size = min(g, k * k - t0)
-        np.matmul(taps[t0:t0 + size].reshape(size * cout, cin), xcols,
+    for group, offsets in groups:
+        size = len(offsets)
+        np.matmul(taps[group].reshape(size * cout, cin), xcols,
                   out=prod[:size].reshape(size * cout, -1))
-        for j in range(size):
-            ky, kx = divmod(t0 + j, k)
+        for j, (ky, kx) in enumerate(offsets):
             full[:, :, ky:ky + s * h:s, kx:kx + s * w:s] += prod[j]
     out = full[:, :, p:p + oh, p:p + ow] \
         + layer.bias.astype(np.float64)[:, None, None, None]

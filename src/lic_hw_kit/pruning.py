@@ -28,7 +28,6 @@ __all__ = [
     "PruneReport",
     "filter_l2_norms",
     "prunable_layer_indices",
-    "prune_step",
     "iterative_prune",
 ]
 
@@ -164,16 +163,6 @@ def _finish_report(rep: PruneReport, model: ModelSpec, input_hw) -> None:
     before = sum(rep.filters_before.values())
     after = sum(rep.filters_after.values())
     rep.cumulative_ratio = (before - after) / before if before else 0.0
-
-
-def prune_step(model: ModelSpec, fraction_of_original: float, input_hw=None):
-    """One pruning pass at the given fraction of the current counts: a
-    one-iteration iterative_prune that also prunes hyperprior stacks.
-
-    Returns (pruned model, PruneReport). Deterministic.
-    """
-    schedule = PruneSchedule(fraction_of_original, 1, prune_hyperprior=True)
-    return iterative_prune(model, schedule, input_hw=input_hw)
 
 
 def iterative_prune(model: ModelSpec, schedule: PruneSchedule,

@@ -223,7 +223,10 @@ class PrecisionPolicy:
 
 @dataclass
 class QuantizedModel:
-    """Original model spec plus integer payloads and their parameters."""
+    """A model spec plus integer payloads and their parameters. After
+    ptq, model is the float model that was quantized; after
+    load_quantized_model, the model the payloads dequantize to, since a
+    container keeps no float tensors."""
 
     model: ModelSpec
     tensor_params: dict

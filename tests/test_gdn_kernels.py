@@ -68,6 +68,23 @@ def test_float_gdn_matches_einsum_pool(c, n):
     check_gdn(x, params)
 
 
+# The shapes above at alpha 1.0 and 0.25, so the power stage cannot pass
+# as a square root, which is all alpha 0.5 (np.sqrt above) can show.
+@pytest.mark.parametrize("alpha", [1.0, 0.25])
+@pytest.mark.parametrize("c,h,w", [(c, e, e) for c in (1, 3, 8, 128, 160, 192) for e in (57, 15)]
+                         + [(c, 1, 40000) for c in (1, 3, 8)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_blocked_float_gdn_power_is_the_whole_map_power(alpha, c, h, w, n):
+    rng = np.random.default_rng([c, n, h, w])
+    p = random_params(c, rng)
+    params = GdnParams(beta=p.beta, gamma=p.gamma, alpha=alpha)
+    x = rng.normal(0.0, 2.0, (n, c, h, w)).astype(np.float32)
+    x64 = x.astype(np.float64)
+    scale = whole_map_pool(x, params.beta, params.gamma) ** alpha
+    for fn, want in ((gdn_float, x64 / scale), (igdn_float, x64 * scale)):
+        assert fn(Tensor(x), params).data.tobytes() == want.astype(np.float32).tobytes()
+
+
 @pytest.mark.parametrize("c,dims", [(0, (1, 0, 3, 4)), (0, (2, 0, 0, 5)),
                                     (3, (2, 3, 0, 5)), (3, (1, 3, 4, 0)),
                                     (3, (0, 3, 4, 4))])

@@ -13,7 +13,6 @@ from lic_hw_kit import (
     iterative_prune,
     model_forward,
     prunable_layer_indices,
-    prune_step,
 )
 from lic_hw_kit.model import flops_of
 from conftest import make_conv, make_gdn, rand_tensor
@@ -92,7 +91,7 @@ def test_tie_break_prefers_lower_index(rng):
 
 def test_one_step_rewires_neighbors(rng):
     model = stack_model(rng, widths=(10, 12))
-    pruned, removals = prune_step(model, 0.2)
+    pruned, removals = iterative_prune(model, PruneSchedule(0.2, 1, prune_hyperprior=True))
     assert pruned.layers[0].out_channels == 8
     assert pruned.layers[1].gdn_params.channels == 8
     assert pruned.layers[2].in_channels == 8
@@ -105,7 +104,7 @@ def test_one_step_rewires_neighbors(rng):
 def test_gdn_rows_and_cols_follow_survivors(rng):
     model = stack_model(rng, widths=(6, 6))
     norms = filter_l2_norms(model.layers[0])
-    pruned, removals = prune_step(model, 0.5)
+    pruned, removals = iterative_prune(model, PruneSchedule(0.5, 1, prune_hyperprior=True))
     keep = sorted(np.argsort(norms, kind="stable")[3:].tolist())
     src = model.layers[1].gdn_params
     dst = pruned.layers[1].gdn_params
@@ -206,9 +205,9 @@ def test_all_removing_schedules_rejected_up_front():
 
 def test_direct_step_never_empties_small_layer(rng):
     model = stack_model(rng, widths=(2, 2))
-    pruned, rep = prune_step(model, 0.9)
+    pruned, rep = iterative_prune(model, PruneSchedule(0.9, 1, prune_hyperprior=True))
     assert pruned.layers[0].out_channels == 1  # floor(0.9 * 2) = 1 removed
-    pruned2, rep2 = prune_step(pruned, 0.9)
+    pruned2, rep2 = iterative_prune(pruned, PruneSchedule(0.9, 1, prune_hyperprior=True))
     assert pruned2.layers[0].out_channels == 1  # floor(0.9 * 1) = 0 removed
     assert all(len(r["removed"]) == 0 for r in rep2.removals)
 

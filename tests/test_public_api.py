@@ -16,7 +16,7 @@ import types
 
 import lic_hw_kit
 
-PUBLIC_NAMES_SHA256 = "3e8f381a74f5f8e788efb70f31e553a8f863e9a39fa331d1e1841f49957b135b"
+PUBLIC_NAMES_SHA256 = "b401790c8deeb258c634fcf13dc846351a84d7cdf393a7956d21afc1ca250048"
 LIBRARY_MODULES = sorted(
     m.name for m in pkgutil.iter_modules(lic_hw_kit.__path__) if m.name != "cli")
 
