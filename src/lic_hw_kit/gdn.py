@@ -56,6 +56,7 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .fixed_point import (
+    _BLOCK,
     FixedPointFormat,
     SqrtLut,
     _clamp,
@@ -85,11 +86,6 @@ __all__ = [
     "gdn_error_report",
 ]
 
-
-# Elements (channels x positions) per block of the float and fixed-point
-# pipelines: a block's 8-byte temporaries (256 KB each) stay in a 2 MB
-# L2 cache.
-_BLOCK = 1 << 15
 
 # Multiply-adds per channel-mix GEMM. OpenBLAS 0.3.31 splits a float64
 # GEMM across threads by its size: a (128, 128) @ (128, N) product runs

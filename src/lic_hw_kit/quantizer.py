@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CalibrationError, ParameterError, integral_bits
-from .fixed_point import _round_saturate
+from .fixed_point import _quantize_blocks
 from .model import LayerSpec, ModelSpec, model_forward
 from .tensor import Tensor
 
@@ -158,11 +158,9 @@ def int_dtype(bits: int) -> str:
 
 
 def quantize_with_stats(x, p: QuantParams):
-    """Quantize to integers; returns (q, n_saturated). A NaN or infinite
-    element raises DomainError."""
-    scaled = np.divide(x, p.scale, dtype=np.float64)
-    q, n_sat = _round_saturate(scaled, p.qmin, p.qmax)
-    return q.astype(int_dtype(p.bits)), n_sat
+    """Quantize to integers, block by block; returns (q, n_saturated). A
+    NaN or infinite element raises DomainError."""
+    return _quantize_blocks(x, np.divide, p.scale, p.qmin, p.qmax, int_dtype(p.bits))
 
 
 def quantize(x, p: QuantParams):

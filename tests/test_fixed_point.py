@@ -177,6 +177,35 @@ def test_shift_round_per_element():
     assert np.array_equal(out, np.array([3, 5, 10]))  # 2.5 rounds away
 
 
+@pytest.mark.parametrize("shift", [
+    lambda v, n: rshift_round(v, n),
+    lambda v, n: shift_round(v, n),
+    lambda v, n: shift_round(v, np.full(np.shape(v), n)),
+    lambda v, n: shift_round(v, np.array([0, n, 1])[:, None]),
+], ids=["rshift_round", "shift_round-scalar", "shift_round-array", "shift_round-broadcast"])
+@pytest.mark.parametrize("n, message", [
+    (64, "shift counts must be at most 63; got 64"),
+    (70, "shift counts must be at most 63; got 70"),
+    (-64, "shift counts must be >= -63; got -64"),
+    (-70, "shift counts must be >= -63; got -70"),
+])
+def test_shift_counts_outside_63_bits_raise(shift, n, message):
+    """An int64 shift past 63 bits once gave wrong integers: a rounded
+    right shift of 5 by 64 returned -1, [5, -5] by 70 gave [0, -1] and a
+    left shift by 70 returned 0."""
+    with pytest.raises(ParameterError) as err:
+        shift(np.array([5, -5]), n)
+    assert str(err.value) == message
+
+
+def test_shift_counts_of_63_bits_are_accepted():
+    v = np.array([5, -5, (1 << 62) - 1, -(1 << 62)], dtype=np.int64)
+    assert rshift_round(v, 63).tolist() == [0, 0, 0, -1]  # -0.5 rounds away
+    assert shift_round(v, np.full(4, 63)).tolist() == [0, 0, 0, -1]
+    assert rshift_round(np.array([0, -1]), -63).tolist() == [0, -(1 << 63)]
+    assert shift_round(np.array([0, -1]), np.full(2, -63)).tolist() == [0, -(1 << 63)]
+
+
 def test_saturate_q_counts():
     fmt = FixedPointFormat(8, 0)
     q, sat = saturate_q(np.array([200, -200, 5], dtype=np.int64), fmt)

@@ -12,6 +12,7 @@ included.
 
 import contextlib
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -25,7 +26,10 @@ from lic_hw_kit import (
     GdnStageFormats,
     Tensor,
     gdn_fixed_with_stats,
+    QuantParams,
     igdn_fixed_with_stats,
+    quantize_with_stats,
+    reciprocal_fixed,
     to_fixed,
 )
 from lic_hw_kit import fixed_point, gdn
@@ -38,6 +42,7 @@ from lic_hw_kit.fixed_point import (
     saturate_q,
     shift_round,
 )
+from lic_hw_kit.quantizer import int_dtype
 
 
 def oracle_rshift_round(v, nbits: int):
@@ -577,3 +582,220 @@ def test_stage_table_built_only_for_narrow_accumulators():
     assert [call.args for call in spy.call_args_list] == [
         (GdnStageFormats.default(bits), inverse) for bits in (8, 16) for inverse in (False, True)
     ]
+
+
+# ---------------------------------------------------------------------------
+# Elementwise units in blocks
+# ---------------------------------------------------------------------------
+
+# The units' whole-array bodies from before they ran in blocks, kept
+# verbatim: each stage of the chain ran once over the whole input.
+
+
+def whole_to_fixed(x, fmt):
+    v, n_sat = fixed_point._round_saturate(np.asarray(x, dtype=np.float64)
+                                           * (1 << fmt.frac_bits), fmt.qmin, fmt.qmax)
+    return v.astype(np.int64), n_sat
+
+
+def whole_quantize_with_stats(x, p):
+    scaled = np.divide(x, p.scale, dtype=np.float64)
+    q, n_sat = fixed_point._round_saturate(scaled, p.qmin, p.qmax)
+    return q.astype(int_dtype(p.bits)), n_sat
+
+
+def whole_shift_round(v, nbits):
+    v = np.asarray(v, dtype=np.int64)
+    nbits = np.asarray(nbits, dtype=np.int64)
+    if nbits.ndim == 0:
+        return rshift_round(v, int(nbits))
+    shape = np.broadcast_shapes(v.shape, nbits.shape)
+    right = np.maximum(nbits, 0)
+    r = np.right_shift(v, 63, out=np.empty(shape, dtype=np.int64))
+    r += np.int64(1) << right
+    u = r.view(np.uint64)
+    u >>= np.uint64(1)
+    r += v
+    r >>= right
+    left = np.negative(nbits, out=right)
+    r <<= np.maximum(left, 0, out=left)
+    return r
+
+
+def whole_eval_int(lut, m_int):
+    m_int = np.asarray(m_int, dtype=np.int64)
+    lo, hi = lut.knots[0], lut.knots[-1]
+    if m_int.size and (m_int.min() < lo or m_int.max() >= hi):
+        raise DomainError(
+            f"sqrt lut input outside [{lut.lo}, {lut.hi}) after quantization"
+        )
+    idx = (m_int - lo) * lut.segments
+    idx //= hi - lo
+    idx += m_int >= lut.knots[1:][idx]
+    dx = m_int - lut.knots[idx]
+    rise = rshift_round(lut.slopes[idx] * dx, lut.fmt.frac_bits)
+    return lut.intercepts[idx] + rise
+
+
+def whole_eval(lut, x):
+    scaled = np.asarray(x, dtype=np.float64) * (1 << lut.fmt.frac_bits)
+    q, _ = fixed_point._round_saturate(scaled, lut.knots[0], lut.knots[-1] - 1)
+    return from_fixed(whole_eval_int(lut, q.astype(np.int64)), lut.fmt)
+
+
+def whole_reciprocal_fixed(d, fmt=FixedPointFormat(32, 24)):
+    """Range reduction's shifts run whole-array too."""
+    with mock.patch.object(fixed_point, "shift_round", whole_shift_round):
+        arr = np.asarray(d, dtype=np.float64)
+        d_int, _ = whole_to_fixed(arr, fmt)
+        if arr.size and d_int.min() <= 0:
+            raise DomainError("reciprocal requires input >= one format step")
+        q, _ = saturate_q(fixed_point._reciprocal_unclamped(d_int, fmt), fmt)
+        out = from_fixed(q, fmt)
+    return float(out) if np.isscalar(d) or arr.ndim == 0 else out
+
+
+_B = fixed_point._BLOCK
+_SIZES = [0, 1, _B - 1, _B, _B + 1, 3 * _B + 7]
+_LUT = build_sqrt_lut()
+_Q8 = QuantParams(0.5, 0, 8)
+_F16 = FixedPointFormat(16, 8)
+
+
+# name: (blocked unit, whole-array oracle, input maker); each maker turns
+# uniform values in [0, 1) into the unit's input, with values that
+# saturate where the unit counts saturation
+_UNITS = {
+    "to_fixed": (lambda x: to_fixed(x, _F16), lambda x: whole_to_fixed(x, _F16),
+                 lambda u: 400.0 * u - 200.0),
+    "quantize_with_stats": (lambda x: quantize_with_stats(x, _Q8),
+                            lambda x: whole_quantize_with_stats(x, _Q8),
+                            lambda u: 400.0 * u - 200.0),
+    "eval": (_LUT.eval, lambda x: whole_eval(_LUT, x), lambda u: 5.0 * u),
+    "eval_int": (_LUT.eval_int, lambda m: whole_eval_int(_LUT, m),
+                 lambda u: whole_to_fixed(1.0 + 2.999 * u, _LUT.fmt)[0]),
+    "reciprocal_fixed": (reciprocal_fixed, whole_reciprocal_fixed,
+                         lambda u: 1e-3 + 300.0 * u * u),
+}
+
+
+def _identical(new, old):
+    """Equal type, dtype, shape and bytes; tuples element by element
+    (a saturation count compares as an int)."""
+    if isinstance(old, tuple):
+        return type(new) is tuple and len(new) == len(old) \
+            and all(_identical(a, b) for a, b in zip(new, old))
+    if type(new) is not type(old):
+        return False
+    if isinstance(old, (int, float)):
+        return new == old
+    return new.dtype == old.dtype and new.shape == old.shape \
+        and new.tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("name", _UNITS)
+@pytest.mark.parametrize("shape", [(n,) for n in _SIZES] + [(3, 5, 4099)], ids=str)
+def test_blocked_unit_matches_whole_array_body(name, shape):
+    unit, whole, make = _UNITS[name]
+    x = make(np.random.default_rng(len(shape) + shape[-1]).uniform(0.0, 1.0, shape))
+    assert _identical(unit(x), whole(x))
+
+
+def test_blocked_units_saturate_across_blocks():
+    x = np.random.default_rng(1).uniform(0.0, 1.0, 3 * _B + 7)
+    for name in ("to_fixed", "quantize_with_stats"):
+        unit, whole, make = _UNITS[name]
+        (q, n), (_, n_whole) = unit(make(x)), whole(make(x))
+        assert n == n_whole and n > _B  # more saturate than one block holds
+        assert type(n) is int
+
+
+@pytest.mark.parametrize("name", _UNITS)
+def test_blocked_unit_keeps_the_scalar_contract(name):
+    unit, whole, make = _UNITS[name]
+    x0 = make(np.array(0.37))
+    for x in (x0, x0[()], x0.item()):
+        assert _identical(unit(x), whole(x))
+
+
+@pytest.mark.parametrize("name", _UNITS)
+@pytest.mark.parametrize("shape", [(60, 50), (300, 250)], ids=["one-block", "blocks"])
+def test_blocked_unit_casts_other_layouts_and_dtypes(name, shape):
+    unit, whole, make = _UNITS[name]
+    u = np.random.default_rng(2).uniform(0.0, 1.0, shape)
+    for x in (make(u).T, make(u)[::2, ::3], np.asfortranarray(make(u)),
+              make(u).astype(np.float32), make(u)[:4].tolist()):
+        assert _identical(unit(x), whole(x))
+
+
+def test_blocked_shift_round_matches_whole_array_body():
+    rng = np.random.default_rng(3)
+    for shape in [(n,) for n in _SIZES] + [(3, 5, 4099)]:
+        v = rng.integers(-(2 ** 61), 2 ** 61, shape)
+        n = rng.integers(-63, 64, shape)
+        assert _identical(shift_round(v, n), whole_shift_round(v, n))
+    # broadcast values and counts: every count against every value, in
+    # one block and in several
+    n = np.arange(-63, 64)
+    for size in (100, 1000):
+        v = rng.integers(-(2 ** 40), 2 ** 40, size)
+        assert _identical(shift_round(v[:, None], n[None, :]),
+                          whole_shift_round(v[:, None], n[None, :]))
+    assert _identical(shift_round(np.int64(-7), n), whole_shift_round(np.int64(-7), n))
+    assert _identical(shift_round(v.T, n[:1]), whole_shift_round(v.T, n[:1]))
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("to_fixed", np.nan), ("quantize_with_stats", np.inf), ("eval", np.nan),
+    ("eval_int", 1 << 40), ("reciprocal_fixed", np.nan), ("reciprocal_fixed", 0.0),
+    ("reciprocal_fixed", -2.0),
+])
+def test_fault_in_the_last_block_raises_the_same_domain_error(name, bad):
+    unit, whole, make = _UNITS[name]
+    x = make(np.random.default_rng(4).uniform(0.0, 1.0, 3 * _B + 7))
+    x = np.concatenate([x, np.array([bad], dtype=x.dtype)])
+    with pytest.raises(DomainError) as old:
+        whole(x)
+    with pytest.raises(DomainError) as new:
+        unit(x)
+    assert str(new.value) == str(old.value)
+
+
+def test_reciprocal_format_error_waits_for_every_block():
+    """A format that cannot hold 2 raises ParameterError on good input,
+    but a bad value in any block raises its DomainError first."""
+    narrow = FixedPointFormat(8, 7)
+    good = np.ones(3 * _B + 7)
+    with pytest.raises(ParameterError, match="constant 2"):
+        reciprocal_fixed(good, narrow)
+    for bad in (np.nan, -1.0):
+        with pytest.raises(DomainError) as old:
+            whole_reciprocal_fixed(np.append(good, bad), narrow)
+        with pytest.raises(DomainError) as new:
+            reciprocal_fixed(np.append(good, bad), narrow)
+        assert str(new.value) == str(old.value)
+    assert reciprocal_fixed(np.ones(0), narrow).shape == (0,)
+
+
+@pytest.mark.parametrize("name", [*_UNITS, "shift_round"])
+def test_blocked_unit_peaks_within_its_output_plus_4_mb(name):
+    """On 2**20 elements only the output is allocated at full size; the
+    whole-array bodies peaked at 2x (to_fixed) to 9x (reciprocal_fixed)
+    their output."""
+    rng = np.random.default_rng(5)
+    u = rng.uniform(0.0, 1.0, 1 << 20)
+    if name == "shift_round":
+        args = (rng.integers(-(2 ** 40), 2 ** 40, u.size), rng.integers(-20, 40, u.size))
+        unit = shift_round
+    else:
+        unit, _, make = _UNITS[name]
+        args = (make(u),)
+    del u
+    tracemalloc.start()
+    try:
+        out = unit(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nbytes = (out[0] if isinstance(out, tuple) else out).nbytes
+    assert peak <= nbytes + (4 << 20), f"{name}: peak {peak / 2 ** 20:.1f} MB"

@@ -23,6 +23,7 @@ from lic_hw_kit import (
     quant_params_from_stats,
 )
 from lic_hw_kit.errors import integral_bits
+from lic_hw_kit.fixed_point import rshift_round
 from lic_hw_kit.model import MAX_LAYER_STEP
 from lic_hw_kit.perf_model import MAX_CORES
 from lic_hw_kit.pruning import MAX_ITERATIONS
@@ -78,6 +79,9 @@ SITES = [
        "frac_bits") for total in (8, 16, 32)],
     ("SqrtLut.segments", lambda v: build_sqrt_lut(segments=v).segments, 2, None,
      "segments"),
+    # 0 shifted by any count it accepts stays 0
+    ("rshift_round.nbits", lambda v: int(v) + int(rshift_round(0, v)), -63, 63,
+     "shift counts"),
     *[(f"LayerTraffic.{f}",
        lambda v, f=f: getattr(LayerTraffic(**{**_TRAFFIC, f: v}), f), 1, None, f)
       for f in _TRAFFIC],
