@@ -219,8 +219,9 @@ def shift_round(v, nbits):
     """Per-element shift with rounding: right by n where n > 0 (half away
     from zero, as rshift_round), left by -n (exact) where n <= 0.
 
-    nbits may be a scalar or an array of shifts in [-63, 63]; a count
-    outside that range raises ParameterError. v and nbits broadcast
+    nbits may be a scalar or an array of integer shifts in [-63, 63]; a
+    count outside that range, or one that is not an integer (2.5, NaN),
+    raises ParameterError, as rshift_round's does. v and nbits broadcast
     against each other as numpy arrays do; shapes that do not broadcast
     raise ShapeError. An array of counts runs block by block
     (_elementwise), and every element takes one branch-free path: with
@@ -229,9 +230,14 @@ def shift_round(v, nbits):
     r <<= max(-n, 0).
     """
     v = np.asarray(v)
-    nbits = np.asarray(nbits, dtype=np.int64)
+    nbits = np.asarray(nbits)
     if nbits.ndim == 0:
-        return rshift_round(v, int(nbits))
+        return rshift_round(v, nbits.item())
+    if nbits.dtype.kind != "i":
+        # integer counts skip this pass; others must each be an integer
+        for n in np.unique(nbits):
+            integral_bits(n, "shift counts", -_MAX_SHIFT, _MAX_SHIFT)
+        nbits = nbits.astype(np.int64)
     try:
         np.broadcast_shapes(v.shape, nbits.shape)
     except ValueError:

@@ -23,14 +23,19 @@ no bit of the fixed-point output or saturation counts; the positivity
 check of the float pool and the MAC headroom check of the fixed-point
 accumulate run per block and raise the same ParameterError.
 
-The channel sum of both pools is a (C, C) @ (C, P) float64 GEMM, cut
-into column panels of at most _PANEL multiply-adds. OpenBLAS runs a
-GEMM that small on the calling thread; a larger one wakes a helper
-thread, which then spins through the elementwise stages that follow:
-it nearly doubled the fixed-point datapath's CPU time for no gain in
-its wall time. Blocks and panels
-are whole _TILE-position tiles of the GEMM kernel, so every position
-but the last P mod _TILE of a map sums as in one whole-map product.
+The channel sum of both pools is a (C, C) @ (C, P) float64 GEMM. It
+runs through _panel_matmul, the package's one GEMM helper (conv and
+deconv use it too): the block, or its square, is written into
+contiguous panel-major buffers of whole _TILE-position panels of at
+most _PANEL multiply-adds, and one batched np.matmul multiplies them.
+OpenBLAS runs a product that small on the calling thread; a larger one
+wakes a helper thread, which then spins through the elementwise stages
+that follow: it nearly doubled the fixed-point datapath's CPU time for
+no gain in its wall time. On a 2-CPU Xeon VM, (128, 128) @ (128, 32)
+panels ran at 53-74 GFLOP/s from contiguous buffers and at 35-41 from
+strided views of a 256-position block. Blocks and panels are whole
+tiles of the GEMM kernel, so every position but the last P mod _TILE
+of a map sums as in one whole-map product.
 
 After the accumulate, the root and reciprocal stages depend on nothing
 but the accumulator integer, which saturation and the floor at one step
@@ -87,15 +92,15 @@ __all__ = [
 ]
 
 
-# Multiply-adds per channel-mix GEMM. OpenBLAS 0.3.31 splits a float64
-# GEMM across threads by its size: a (128, 128) @ (128, N) product runs
-# on the calling thread up to N = 56 and on two from N = 64 (cpu/wall
-# 1.55 at 64, 1.98 at 128), and after a threaded product the idle helper
-# thread burns about 0.13 s of CPU. A panel of 2**19 runs at 55-60
-# GFLOP/s on one thread, against about 80 for a 256-position block's
-# product on two. A module constant like _BLOCK, not a setting: it only
-# has to stay below the threading threshold, and any value whose panels
-# are whole tiles gives the same output bits.
+# Multiply-adds per panel GEMM of _panel_matmul. OpenBLAS 0.3.31 splits
+# a float64 GEMM across threads by its size: a (128, 128) @ (128, N)
+# product runs on the calling thread up to N = 56 and on two from N = 64
+# (cpu/wall 1.55 at 64, 1.98 at 128), and after a threaded product the
+# idle helper thread burns about 0.13 s of CPU. A panel of 2**19 runs at
+# 55-60 GFLOP/s on one thread, against about 80 for a 256-position
+# block's product on two. A module constant like _BLOCK, not a setting:
+# it only has to stay below the threading threshold, and any value whose
+# panels are whole tiles gives the same output bits.
 _PANEL = 1 << 19
 
 # Positions per float64 GEMM tile: OpenBLAS's AVX-512 kernel computes 8
@@ -179,17 +184,56 @@ def _blockwise(fn, v: np.ndarray, dtype=np.float64) -> np.ndarray:
     return out
 
 
-def _channel_mix(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum_j gamma[i, j] * v[n, j, ...] for a float64 block v of shape
-    (N, C, ...): a 1x1 GDN pool is a matrix product over channels.
+def _panel_split(m: int, k: int, n: int):
+    """(w, q) for the n columns of an (m, k) @ (k, n) product: q panels of
+    w columns, then a last panel of the n - q * w columns left.
 
-    The (C, C) @ (C, P) product runs as np.matmul calls over column
-    panels of w = _PANEL // C**2 columns rounded down to whole tiles (32
-    at C = 128, 8 at C = 192, 8192 at C = 8), written into one float64
-    output. Up to C = 256 a panel has at most _PANEL multiply-adds, so
-    OpenBLAS runs it on the calling thread. Panels cut from a block have
-    short rows; cut from the 4096-position rows of a whole 64 x 64 map,
-    they made gdn_float 1.8x slower.
+    w is the most whole tiles with m * k * w <= _PANEL (but at least one
+    tile). Fewer than a tile left past a whole panel join it, so no last
+    panel is a lone column, which numpy hands to GEMV.
+    """
+    w = _tiles(max(_TILE, _PANEL // max(m * k, 1)))
+    q = n // w
+    if q and 0 < n - q * w < _TILE:
+        q -= 1
+    return w, q
+
+
+def _panels(a: np.ndarray, w: int, q: int):
+    """The (..., K, n) array a cut along its last axis as _panel_split
+    says: (head, rest) views, head (..., q, K, w) over the first q * w
+    columns and rest (..., K, n - q * w) over the others."""
+    head = a[..., :q * w].reshape(*a.shape[:-1], q, w)
+    return np.moveaxis(head, -2, -3), a[..., q * w:]
+
+
+def _panel_matmul(a: np.ndarray, cols, out) -> None:
+    """out = a @ cols for the (head, rest) pairs of _panels: one batched
+    np.matmul per non-empty part, so at most two per product.
+
+    cols are C-contiguous float64 panel buffers. out may be any views
+    with unit column stride; each panel's product is written into them
+    directly. Every 2-D product but a last panel holding a sub-tile
+    remainder has at most _PANEL multiply-adds, and that one fewer than
+    _TILE more columns, so OpenBLAS runs all of them on the calling
+    thread. The one np.matmul of the package.
+    """
+    for c, o in zip(cols, out):
+        if c.size:
+            np.matmul(a, c, out=o)
+
+
+def _channel_mix(gamma: np.ndarray, v: np.ndarray, square: bool = False) -> np.ndarray:
+    """sum_j gamma[i, j] * v[n, j, ...] as float64 for a block v of shape
+    (N, C, ...), or of v**2 with square: a 1x1 GDN pool is a matrix
+    product over channels.
+
+    The block, or its square, is written into panel-major float64
+    buffers (an integer limb is cast exactly on the way), and one
+    _panel_matmul writes the (C, C) @ (C, w) panel products straight into
+    the output. Panels are whole tiles (32 positions at C = 128, 8 at
+    C = 192, up to 8192 at C = 8). Squaring into the panels takes the
+    place of the square pass over the block.
     With block and panel edges on whole tiles, each column gets the sum
     it gets in one whole-map product, except the last P mod _TILE
     positions of a map, which both sum in a remainder kernel whose order
@@ -197,20 +241,27 @@ def _channel_mix(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     n, c = v.shape[:2]
     p = math.prod(v.shape[2:])
-    vv = v.reshape(n, c, p)
     out = np.empty((n, c, p))
-    w = _tiles(_PANEL // max(c * c, 1))
-    for s in range(0, p, w):
-        np.matmul(gamma, vv[:, :, s:s + w], out=out[:, :, s:s + w])
+    w, q = _panel_split(c, c, p)
+    cols = []
+    for part in _panels(v.reshape(n, c, p), w, q):
+        buf = np.empty(part.shape)
+        if square:
+            np.square(part, out=buf)
+        else:
+            np.copyto(buf, part)
+        cols.append(buf)
+    _panel_matmul(gamma, cols, _panels(out, w, q))
     return out.reshape(v.shape)
 
 
-def _block_pool(sq: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """beta_i + sum_j gamma_ij * sq_j on one (N, C, P) float64 block,
-    checked strictly positive. BLAS may add the channel sum in any order;
-    in float64 the effect of that order stays far below the float32
-    rounding of the outputs."""
-    base = _channel_mix(gamma, sq)
+def _block_pool(v: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                square: bool = False) -> np.ndarray:
+    """beta_i + sum_j gamma_ij * v_j (v_j**2 with square) on one (N, C, P)
+    float64 block, checked strictly positive. BLAS may add the channel
+    sum in any order; in float64 the effect of that order stays far below
+    the float32 rounding of the outputs."""
+    base = _channel_mix(gamma, v, square)
     base += beta[:, None]
     if base.size and base.min() <= 0:
         raise ParameterError("normalization pool is not strictly positive")
@@ -246,10 +297,10 @@ def _float_block(xb, gamma, beta, alpha, formats, stage, inverse):
     xv = xb.astype(np.float64)
     if stage == "input":
         xv = _snap(xv, formats.input)
-    sq = xv ** 2
     if stage == "square":
-        sq = _snap(sq, formats.square)
-    scale = _block_pool(sq, gamma, beta)
+        scale = _block_pool(_snap(xv ** 2, formats.square), gamma, beta)
+    else:
+        scale = _block_pool(xv, gamma, beta, square=True)
     if stage == "accum":
         scale = np.maximum(_snap(scale, formats.accum), formats.accum.ulp)
     if stage == "root":
@@ -396,12 +447,11 @@ def _gamma_mac(gamma_q, sq):
     top = sq_max.bit_length()
     g = gamma_q.astype(np.float64)
     if top <= b:
-        return _channel_mix(g, sq.astype(np.float64)).astype(np.int64)
+        return _channel_mix(g, sq).astype(np.int64)
     acc = np.zeros(sq.shape, dtype=np.int64)
     mask = (np.int64(1) << b) - 1
     for lo in range(0, top, b):
-        limb = ((sq >> lo) & mask).astype(np.float64)
-        acc += _channel_mix(g, limb).astype(np.int64) << lo
+        acc += _channel_mix(g, (sq >> lo) & mask).astype(np.int64) << lo
     return acc
 
 

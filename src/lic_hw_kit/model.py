@@ -12,6 +12,29 @@ small groups of taps into one im2col column buffer
 that a thin input still gives BLAS a deep inner dimension, few enough
 that the buffer stays near the size of one wide tap's window. A single
 product over all taps would need an im2col matrix K^2 times larger.
+
+Every product runs through gdn._panel_matmul, on column panels of at
+most gdn._PANEL multiply-adds read from contiguous panel-major float64
+buffers, so OpenBLAS keeps it on the calling thread: a whole-layer GEMM
+wakes its helper thread, which then spins through the code between
+GEMMs and nearly doubled the CPU time of a codec forward. The work is
+parallel one level up instead: patching._spread deals bands of conv
+output rows, or slices of deconv output channels, to one thread per
+usable CPU, for layers with at least _SHARE_MACS multiply-adds per
+thread. Each share gathers, multiplies and adds its own panels and
+writes float32 straight into the output; its buffers are allocated in
+the calling thread.
+
+None of this moves a bit. A GEMM sums each column in an order fixed by
+the inner dimension alone, for every column in a whole _TILE-column
+tile of its kernel, so panels of whole tiles give those columns the
+sums of one whole-layer product; a share adds the same group products
+in the same tap order, and a band or a channel slice is summed by one
+thread whatever the thread count. The few columns past the last whole
+tile of a panel sum in a remainder kernel, as the last columns of a
+whole-layer product did, with an order that can depend on the product's
+width: they agree to float64 rounding, so their float32 outputs match
+unless a sum lies within a float64 step of a float32 rounding boundary.
 """
 
 from __future__ import annotations
@@ -19,10 +42,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, ShapeError, ToolkitError, integral_bits
-from .gdn import GdnParams, gdn_float, igdn_float
-from .tensor import Tensor
+from .gdn import (GdnParams, _TILE, _panel_matmul, _panel_split, _panels, gdn_float,
+                  igdn_float)
+from . import patching
+from .patching import _spread
+from .tensor import Tensor, _check_finite
 
 __all__ = [
     "LayerSpec",
@@ -228,12 +255,13 @@ def layer_extents(model: ModelSpec, input_hw):
         hw = out
 
 
-def _tap_weights(layer: LayerSpec) -> np.ndarray:
-    """float64 weights as (K, K, C_out, C_in): one contiguous matrix per tap.
+def _tap_weights(layer: LayerSpec, rows=slice(None)) -> np.ndarray:
+    """float64 weights of the output channels in rows as (K, K, C_out,
+    C_in): one contiguous matrix per tap.
 
     The float32 weights are put in tap-major order by the cast itself, so
     no float64 copy is transposed after it."""
-    w = layer.weights
+    w = layer.weights[rows]
     cout, cin, k, _ = w.shape
     taps = w.reshape(cout * cin, k * k).T.astype(np.float64, order="C")
     return taps.reshape(k, k, cout, cin)
@@ -254,18 +282,46 @@ def _tap_groups(k: int, thin: int) -> list:
     return [(slice(t, t + g), offsets[t:t + g]) for t in range(0, k * k, g)]
 
 
+# Multiply-adds a conv or deconv gives each thread at the least. On a
+# 2-CPU VM the codec's layers of 0.2 GFLOP or less ran 10-30% slower as
+# two shares whenever both threads landed on one CPU, and gained little
+# when they did not; its two largest layers (0.7-0.8 GFLOP) gained. A
+# module constant like gdn._PANEL, not a setting: it changes no bit.
+_SHARE_MACS = 1 << 27
+
+
+def _shares(macs: int, most: int) -> int:
+    """How many threads to deal a layer of macs multiply-adds to: one
+    per usable CPU, at most most, each with at least _SHARE_MACS (and
+    at least one)."""
+    return max(1, min(most, patching._usable_cpus(), macs // _SHARE_MACS))
+
+
+def _grid(v: np.ndarray, a: int, b: int, m: int, pw: int) -> np.ndarray:
+    """A (C, a*m, b*pw, ...) view of map rows as the (a, b, C, m, pw, ...)
+    view of its a x b panels of m rows by pw columns."""
+    t = v.reshape(v.shape[0], a, m, b, pw, *v.shape[3:])
+    return t.transpose(1, 3, 0, 2, 4, *range(5, t.ndim))
+
+
 def conv2d_forward(x: Tensor, layer: LayerSpec) -> Tensor:
     """Strided 2-D cross-correlation with zero padding.
 
-    For each _tap_groups(K, C_in) group of g taps, the strided input
-    windows are gathered into one (g*C_in, N*H_out*W_out) float64 column
-    buffer and multiplied by the group's (C_out, g*C_in) weights; the
-    group products are summed in float64 in tap order, the bias is
-    added, and the sum is rounded once to float32. A 3-channel first
-    layer with a 5x5 kernel is thus one GEMM with an inner dimension of
-    75, not 25 GEMMs with an inner dimension of 3. Wide layers (g = 1)
-    sum the taps exactly as a per-tap loop does, and their buffer holds
-    one tap's window.
+    The output rows of each image are cut into one band per _shares
+    thread (fewer for a batch), dealt out by patching._spread. Each band
+    runs one _panel_matmul per _tap_groups(K, C_in) group of g taps: the
+    g taps' strided input windows are gathered, one assignment per tap
+    and panel grid, into the band's panel-major float64 buffer of g*C_in
+    rows, and the group's (C_out, g*C_in) weights multiply it. The group
+    products are summed in float64 in tap order, the bias is added, and
+    the band's rows are rounded once to float32 straight into the output.
+
+    A panel is a piece of one output row (_panel_split over the row's
+    width: a 64-wide row at 128 -> 128 is two panels of 32), or m whole
+    rows when a row is at most half a panel (two 8-wide rows at 128 ->
+    192). A 3-channel first layer with a 5x5 kernel is one product per
+    band with an inner dimension of 75, not 25 with an inner dimension
+    of 3. Wide layers (g = 1) sum the taps exactly as a per-tap loop does.
     """
     if layer.kind != "conv":
         raise ParameterError(f"conv2d_forward got a {layer.kind} layer")
@@ -276,35 +332,99 @@ def conv2d_forward(x: Tensor, layer: LayerSpec) -> Tensor:
     k, s, p = layer.kernel, layer.stride, layer.padding
     oh, ow = layer_output_dims(layer, x.h, x.w)
     n, cin, cout = x.n, layer.in_channels, layer.out_channels
-    padded = np.zeros((cin, n, x.h + 2 * p, x.w + 2 * p), dtype=np.float64)
-    padded[:, :, p:p + x.h, p:p + x.w] = x.data.transpose(1, 0, 2, 3)
-    taps = _tap_weights(layer).reshape(k * k, cout, cin)
-    groups = _tap_groups(k, cin)
-    cols = np.empty((len(groups[0][1]), cin, n, oh, ow), dtype=np.float64)
-    prod = np.empty((cout, n * oh * ow), dtype=np.float64)
-    acc = np.zeros((cout, n * oh * ow), dtype=np.float64)
-    for group, offsets in groups:
-        for j, (ky, kx) in enumerate(offsets):
-            cols[j] = padded[:, :, ky:ky + s * oh:s, kx:kx + s * ow:s]
-        size = len(offsets)
-        w = taps[group].transpose(1, 0, 2).reshape(cout, size * cin)
-        np.matmul(w, cols[:size].reshape(size * cin, -1), out=prod)
-        acc += prod
-    acc += layer.bias.astype(np.float64)[:, None]
-    return Tensor(acc.reshape(cout, n, oh, ow).transpose(1, 0, 2, 3))
+    padded = x.data
+    if p:
+        padded = np.zeros((n, cin, x.h + 2 * p, x.w + 2 * p), dtype=np.float32)
+        padded[:, :, p:p + x.h, p:p + x.w] = x.data
+    # every tap's window, (N, C_in, H_out, W_out, K, K): a view
+    windows = sliding_window_view(padded, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+    # (C_out, K^2 * C_in): a group's weights are a strided view, no copy
+    taps = layer.weights.transpose(0, 2, 3, 1).astype(np.float64, order="C")
+    taps = taps.reshape(cout, k * k * cin)
+    groups = [(taps[:, group.start * cin:group.stop * cin], offsets)
+              for group, offsets in _tap_groups(k, cin)]
+    inner = groups[0][0].shape[1]
+    w, q = _panel_split(cout, inner, ow)
+    m = max(1, w // ow)  # whole rows per panel, when a row is half a panel or less
+    per_image = -(-_shares(n * oh * ow * cin * cout * k * k, n * oh) // max(n, 1))
+    units = -(-oh // m)  # runs of m rows in an image
+    rows = m * -(-units // per_image)
+    bands = [(i, r, min(r + rows, oh)) for i in range(n) for r in range(0, oh, rows)]
+    bias = layer.bias.astype(np.float64)[:, None, None]
+    out = np.empty((n, cout, oh, ow), dtype=np.float32)
+
+    def grids(r0, r1):
+        """A band's panel grids: (rows, columns, (a, b, m, pw)) for a x b
+        panels of m rows by pw columns; fewer than a tile of positions
+        left past the whole panels join the last of them."""
+        if m == 1:
+            cut = [(r0, r1, 0, q * w, (r1 - r0, q, 1, w)),
+                   (r0, r1, q * w, ow, (r1 - r0, 1, 1, ow - q * w))]
+        else:
+            a = (r1 - r0) // m
+            if a and 0 < (r1 - r0 - a * m) * ow < _TILE:
+                a -= 1
+            mid = r0 + a * m
+            cut = [(r0, mid, 0, ow, (a, 1, m, ow)), (mid, r1, 0, ow, (1, 1, r1 - mid, ow))]
+        return [(slice(y0, y1), slice(x0, x1), shape)
+                for y0, y1, x0, x1, shape in cut if y1 > y0 and x1 > x0]
+
+    def carve(buf, depth, parts):
+        """A flat buffer as one C-contiguous (a, b, depth, m*pw) panel
+        buffer per grid."""
+        views, at = [], 0
+        for _, _, (a, b, mm, pw) in parts:
+            size = a * b * depth * mm * pw
+            views.append(buf[at:at + size].reshape(a, b, depth, mm * pw))
+            at += size
+        return views
+
+    def run(share, bufs):
+        for band in share:
+            i, r0, r1 = bands[band]
+            parts = grids(r0, r1)
+            acc = carve(bufs[2], cout, parts)
+            prod = carve(bufs[1], cout, parts)
+            for gi, (wg, offsets) in enumerate(groups):
+                cols = carve(bufs[0], wg.shape[1], parts)
+                for (ys, xs, shape), c in zip(parts, cols):
+                    dst = c.reshape(*c.shape[:3], *shape[2:])
+                    src = _grid(windows[i, :, ys, xs], *shape)
+                    for j, (ky, kx) in enumerate(offsets):
+                        dst[:, :, j * cin:(j + 1) * cin] = src[..., ky, kx]
+                # a GEMM never returns -0.0, so the first group's product
+                # is bit for bit the sum 0.0 + product
+                _panel_matmul(wg, cols, prod if gi else acc)
+                for a, pr in zip(acc, prod if gi else ()):
+                    a += pr
+            for (ys, xs, shape), a in zip(parts, acc):
+                # the float64 sum, rounded once to float32
+                np.add(a.reshape(*a.shape[:3], *shape[2:]), bias,
+                       out=_grid(out[i, :, ys, xs], *shape))
+
+    size = rows * ow
+    _spread(run, len(bands), lambda: (np.empty(size * inner), np.empty(size * cout),
+                                      np.empty(size * cout)))
+    _check_finite(out)  # a float32 cast can overflow
+    return Tensor._adopt(out)
 
 
 def deconv2d_forward(x: Tensor, layer: LayerSpec) -> Tensor:
     """Transposed convolution: scatter-add of stride-spaced kernel copies.
 
-    The input is reshaped once to (C_in, N*H*W) float64. Each
-    _tap_groups(K, C_out) group of g taps is one (g*C_out, C_in) matrix
-    product, whose g tap slices are then added in tap order at their
-    stride-spaced offsets into a float64 canvas. The canvas is cropped
-    by the padding, the bias is added, and the sum is rounded once to
-    float32. Each output row of a product is the same C_in-term dot
+    The input is copied once to panel-major float64 columns, (C_in,
+    N*H*W) cut by _panel_split. The output channels are cut into one
+    slice per _shares thread (of at least g channels), dealt out by
+    patching._spread. For each _tap_groups(K, C_out) group of g taps, a
+    slice runs one _panel_matmul of its (g*C_slice, C_in) weights,
+    written straight into a (g*C_slice, N*H*W) product buffer, whose g
+    tap slices are then added in tap order at their stride-spaced
+    offsets into a float64 canvas. The canvas is cropped by the padding,
+    the bias is added, and the slice is rounded once to float32 into the
+    output. Each output row of a product is the same C_in-term dot
     product whatever rows are stacked with it, so a thin 128 -> 3 layer
-    runs one GEMM instead of 25 and adds exactly what a per-tap loop adds.
+    runs one product instead of 25 and adds exactly what a per-tap loop
+    adds.
     """
     if layer.kind != "deconv":
         raise ParameterError(f"deconv2d_forward got a {layer.kind} layer")
@@ -315,21 +435,39 @@ def deconv2d_forward(x: Tensor, layer: LayerSpec) -> Tensor:
     k, s, p = layer.kernel, layer.stride, layer.padding
     oh, ow = layer_output_dims(layer, x.h, x.w)
     n, h, w, cin, cout = x.n, x.h, x.w, layer.in_channels, layer.out_channels
-    xcols = x.data.transpose(1, 0, 2, 3).reshape(cin, -1).astype(np.float64)
-    taps = _tap_weights(layer).reshape(k * k, cout, cin)
     groups = _tap_groups(k, cout)
-    prod = np.empty((len(groups[0][1]), cout, n, h, w), dtype=np.float64)
+    g = len(groups[0][1])
+    # a slice keeps at least g channels: the 128 -> 3 layer on 57 x 57 ran
+    # 3.9 ms as one slice and 4.4 ms (5.7 ms of CPU) as slices of 1 and 2
+    parts = _shares(n * h * w * cin * cout * k * k, cout // g)
+    edges = [cout * j // parts for j in range(parts + 1)]
+    thick = max(b - a for a, b in zip(edges, edges[1:]))
+    width, q = _panel_split(g * thick, cin, n * h * w)
+    xcols = [part.astype(np.float64, order="C")
+             for part in _panels(x.data.transpose(1, 0, 2, 3).reshape(cin, -1), width, q)]
     full = np.zeros((cout, n, (h - 1) * s + k, (w - 1) * s + k),
                     dtype=np.float64)
-    for group, offsets in groups:
-        size = len(offsets)
-        np.matmul(taps[group].reshape(size * cout, cin), xcols,
-                  out=prod[:size].reshape(size * cout, -1))
-        for j, (ky, kx) in enumerate(offsets):
-            full[:, :, ky:ky + s * h:s, kx:kx + s * w:s] += prod[j]
-    out = full[:, :, p:p + oh, p:p + ow] \
-        + layer.bias.astype(np.float64)[:, None, None, None]
-    return Tensor(out.transpose(1, 0, 2, 3))
+    bias = layer.bias.astype(np.float64)[:, None, None, None]
+    out = np.empty((n, cout, oh, ow), dtype=np.float32)
+    taps = [_tap_weights(layer, slice(a, b)).reshape(k * k, b - a, cin)
+            for a, b in zip(edges, edges[1:])]
+
+    def run(share, prod):
+        for j in share:
+            c0, c1 = edges[j], edges[j + 1]
+            for group, offsets in groups:
+                wg = taps[j][group].reshape(-1, cin)
+                rows = prod[:len(wg)]
+                _panel_matmul(wg, xcols, _panels(rows, width, q))
+                for t, (ky, kx) in enumerate(offsets):
+                    full[c0:c1, :, ky:ky + s * h:s, kx:kx + s * w:s] += \
+                        rows[t * (c1 - c0):(t + 1) * (c1 - c0)].reshape(c1 - c0, n, h, w)
+            np.add(full[c0:c1, :, p:p + oh, p:p + ow], bias[c0:c1],
+                   out=out[:, c0:c1].transpose(1, 0, 2, 3))
+
+    _spread(run, parts, lambda: np.empty((g * thick, n * h * w)))
+    _check_finite(out)  # a float32 cast can overflow
+    return Tensor._adopt(out)
 
 
 def relu_forward(x: Tensor, layer: LayerSpec) -> Tensor:

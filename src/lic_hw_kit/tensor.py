@@ -24,6 +24,12 @@ from .errors import (
 __all__ = ["Tensor", "save_tensor", "load_tensor"]
 
 
+def _check_finite(arr):
+    """Raise DomainError unless every element of arr is finite."""
+    if not np.isfinite(arr).all():
+        raise DomainError("tensor contains non-finite elements")
+
+
 class Tensor:
     """Immutable 4-D float32 array with dims (n, c, h, w).
 
@@ -38,8 +44,7 @@ class Tensor:
     def __init__(self, data):
         arr = np.array(data, dtype=np.float32, order="C")  # own copy, never alias
         self._seal(arr)
-        if not np.isfinite(arr).all():
-            raise DomainError("tensor contains non-finite elements")
+        _check_finite(arr)
 
     @classmethod
     def _adopt(cls, arr):

@@ -206,6 +206,27 @@ def test_shift_counts_of_63_bits_are_accepted():
     assert shift_round(np.array([0, -1]), np.full(2, -63)).tolist() == [0, -(1 << 63)]
 
 
+@pytest.mark.parametrize("counts", [2.5, [2.5], np.array([2.0, 2.5]), [np.nan],
+                                    np.array([[1], [-0.5]])])
+def test_shift_round_rejects_fractional_counts(counts):
+    """A fractional count once shifted by its truncation: shift_round([5],
+    2.5) and shift_round([5], [2.5]) returned [1], a shift by 2."""
+    with pytest.raises(ParameterError, match="shift counts must be integers"):
+        shift_round(np.array([5, -5]), counts)
+
+
+def test_shift_round_takes_integral_counts_of_any_dtype():
+    v = np.array([5, -5, 6], dtype=np.int64)
+    want = shift_round(v, np.array([2, 1, -1]))
+    assert want.tolist() == [1, -3, 12]
+    for counts in (np.array([2.0, 1.0, -1.0]), [2.0, 1, -1], np.array([2, 1, -1], dtype=np.int8)):
+        assert shift_round(v, counts).tolist() == want.tolist()
+    assert shift_round(v, np.array([2, 1, 0], dtype=np.uint8)).tolist() == [1, -3, 6]
+    assert shift_round(v, 2.0).tolist() == [1, -1, 2]
+    with pytest.raises(ParameterError, match="at most 63"):
+        shift_round(v, np.array([64, 0, 0], dtype=np.uint64))
+
+
 def test_saturate_q_counts():
     fmt = FixedPointFormat(8, 0)
     q, sat = saturate_q(np.array([200, -200, 5], dtype=np.int64), fmt)
