@@ -193,26 +193,37 @@ def from_fixed(q, fmt: FixedPointFormat):
     return np.asarray(q, dtype=np.float64) * fmt.ulp
 
 
+def _round_right(v, n, low):
+    """v shifted right by n >= 0 with half-away-from-zero rounding, for
+    low = 2**(n - 1) - 1 (0 where n = 0); n and low are scalars or
+    arrays of v's length.
+
+    The result is floor((v + 2**(n - 1) + s) / 2**n), s = v >> 63 (0 or
+    -1), but v plus that bias wraps near 2**63. With e = s ^ low (low for
+    v >= 0, -2**(n - 1) for v < 0), e - v never leaves int64, and since
+    ~x >> n == ~(x >> n), s - ((e - v) >> n) is that floor exactly: five
+    passes into two fresh int64 arrays. 0-d input gives a 0-d array.
+    """
+    s = np.right_shift(v, 63, out=np.empty_like(v))
+    r = np.bitwise_xor(s, low, out=np.empty_like(v))
+    np.subtract(r, v, out=r)
+    np.right_shift(r, n, out=r)
+    return np.subtract(s, r, out=r)
+
+
 def rshift_round(v, nbits: int):
-    """Arithmetic shift right by nbits with half-away-from-zero rounding.
+    """Arithmetic shift right by nbits with half-away-from-zero rounding
+    (_round_right), exact for every int64.
 
     nbits is one shift for every element, an integer in [-63, 63] (else
-    ParameterError); nbits <= 0 shifts left (exact). Rounding away from
-    zero is floor((v + half - [v < 0]) / 2**nbits): the sign bit v >> 63
-    (0 or -1) trims the bias for negative v, so the whole shift is four
-    in-place passes over one fresh int64 buffer. 0-d input gives a 0-d
-    array.
+    ParameterError); nbits <= 0 shifts left (exact). 0-d input gives a
+    0-d array.
     """
     nbits = integral_bits(nbits, "shift counts", -_MAX_SHIFT, _MAX_SHIFT)
     v = np.asarray(v, dtype=np.int64)
     if nbits <= 0:
         return v << (-nbits)
-    # an explicit out= keeps 0-d input an array, so the in-place ops apply
-    r = np.right_shift(v, 63, out=np.empty_like(v))
-    r += np.int64(1) << (nbits - 1)
-    r += v
-    r >>= nbits
-    return r
+    return _round_right(v, nbits, (1 << (nbits - 1)) - 1)
 
 
 def shift_round(v, nbits):
@@ -224,10 +235,9 @@ def shift_round(v, nbits):
     raises ParameterError, as rshift_round's does. v and nbits broadcast
     against each other as numpy arrays do; shapes that do not broadcast
     raise ShapeError. An array of counts runs block by block
-    (_elementwise), and every element takes one branch-free path: with
-    right = max(n, 0), r = (v + bias) >> right, where bias is half a
-    step for v >= 0 and one less for v < 0 (0 when right = 0); then
-    r <<= max(-n, 0).
+    (_elementwise), and every element takes one branch-free path: the
+    rounding right shift of _round_right by max(n, 0), which leaves v as
+    it is where n <= 0, then a left shift by max(-n, 0).
     """
     v = np.asarray(v)
     nbits = np.asarray(nbits)
@@ -254,16 +264,13 @@ def shift_round(v, nbits):
 def _shift_block(v, nbits):
     """shift_round on one block of values and counts of equal length."""
     right = np.maximum(nbits, 0)
-    # bias = ((1 << right) + (v >> 63)) >> 1, shifted unsigned so that
-    # 1 << 63 stays positive
-    r = np.right_shift(v, 63)
-    r += np.int64(1) << right
-    u = r.view(np.uint64)
-    u >>= np.uint64(1)
-    r += v
-    r >>= right
-    left = np.negative(nbits, out=right)
-    r <<= np.maximum(left, 0, out=left)
+    left = right - nbits  # max(-n, 0)
+    # low = (2**right - 1) >> 1: 2**(right - 1) - 1, and 0 where right = 0
+    low = np.left_shift(1, right)
+    low -= 1
+    low >>= 1
+    r = _round_right(v, right, low)
+    r <<= left
     return r
 
 

@@ -12,6 +12,10 @@ small groups of taps into one im2col column buffer
 that a thin input still gives BLAS a deep inner dimension, few enough
 that the buffer stays near the size of one wide tap's window. A single
 product over all taps would need an im2col matrix K^2 times larger.
+conv first copies its padded input once into stride-phase planes, in
+which a tap's im2col rows for a run of output rows are one contiguous
+slice; _panel_split cuts that slice into panels as it cuts deconv's
+input.
 
 Every product runs through gdn._panel_matmul, on column panels of at
 most gdn._PANEL multiply-adds read from contiguous panel-major float64
@@ -26,7 +30,7 @@ writes float32 straight into the output; its buffers are allocated in
 the calling thread.
 
 None of this moves a bit. A GEMM sums each column in an order fixed by
-the inner dimension alone, for every column in a whole _TILE-column
+the inner dimension alone, for every column in a whole gdn._TILE-column
 tile of its kernel, so panels of whole tiles give those columns the
 sums of one whole-layer product; a share adds the same group products
 in the same tap order, and a band or a channel slice is summed by one
@@ -45,7 +49,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, ShapeError, ToolkitError, integral_bits
-from .gdn import (GdnParams, _TILE, _panel_matmul, _panel_split, _panels, gdn_float,
+from .gdn import (GdnParams, _panel_matmul, _panel_split, _panels, gdn_float,
                   igdn_float)
 from . import patching
 from .patching import _spread
@@ -297,31 +301,28 @@ def _shares(macs: int, most: int) -> int:
     return max(1, min(most, patching._usable_cpus(), macs // _SHARE_MACS))
 
 
-def _grid(v: np.ndarray, a: int, b: int, m: int, pw: int) -> np.ndarray:
-    """A (C, a*m, b*pw, ...) view of map rows as the (a, b, C, m, pw, ...)
-    view of its a x b panels of m rows by pw columns."""
-    t = v.reshape(v.shape[0], a, m, b, pw, *v.shape[3:])
-    return t.transpose(1, 3, 0, 2, 4, *range(5, t.ndim))
-
-
 def conv2d_forward(x: Tensor, layer: LayerSpec) -> Tensor:
     """Strided 2-D cross-correlation with zero padding.
+
+    The padded input is copied once into stride-phase planes: plane
+    (a, kx) of an image holds padded[S*y + a, S*x + kx] for y < H_s =
+    H_out + (K-1)//S and x < W_out, row-major as (C_in, H_s*W_out). Tap
+    (ky, kx) at output (oy, ox) reads plane (ky % S, kx) at flat index
+    (oy + ky//S)*W_out + ox, so a tap's im2col rows for any run of
+    output rows are one contiguous slice of a plane.
 
     The output rows of each image are cut into one band per _shares
     thread (fewer for a batch), dealt out by patching._spread. Each band
     runs one _panel_matmul per _tap_groups(K, C_in) group of g taps: the
-    g taps' strided input windows are gathered, one assignment per tap
-    and panel grid, into the band's panel-major float64 buffer of g*C_in
-    rows, and the group's (C_out, g*C_in) weights multiply it. The group
+    band's flat positions are cut by _panel_split, the taps' slices are
+    copied into the band's panel-major float64 buffer of g*C_in rows
+    (one copy per kernel row, whose taps read adjacent planes at one
+    offset), and the group's (C_out, g*C_in) weights multiply it. The group
     products are summed in float64 in tap order, the bias is added, and
     the band's rows are rounded once to float32 straight into the output.
-
-    A panel is a piece of one output row (_panel_split over the row's
-    width: a 64-wide row at 128 -> 128 is two panels of 32), or m whole
-    rows when a row is at most half a panel (two 8-wide rows at 128 ->
-    192). A 3-channel first layer with a 5x5 kernel is one product per
-    band with an inner dimension of 75, not 25 with an inner dimension
-    of 3. Wide layers (g = 1) sum the taps exactly as a per-tap loop does.
+    A 3-channel first layer with a 5x5 kernel is one product per band
+    with an inner dimension of 75, not 25 with an inner dimension of 3.
+    Wide layers (g = 1) sum the taps exactly as a per-tap loop does.
     """
     if layer.kind != "conv":
         raise ParameterError(f"conv2d_forward got a {layer.kind} layer")
@@ -332,75 +333,61 @@ def conv2d_forward(x: Tensor, layer: LayerSpec) -> Tensor:
     k, s, p = layer.kernel, layer.stride, layer.padding
     oh, ow = layer_output_dims(layer, x.h, x.w)
     n, cin, cout = x.n, layer.in_channels, layer.out_channels
+    hs = oh + (k - 1) // s
     padded = x.data
-    if p:
-        padded = np.zeros((n, cin, x.h + 2 * p, x.w + 2 * p), dtype=np.float32)
+    if p or s * hs > x.h:
+        # zero rows past the input give every plane its H_s rows; a
+        # phase's last row there is never read
+        padded = np.zeros((n, cin, max(x.h + 2 * p, s * hs), x.w + 2 * p), dtype=np.float32)
         padded[:, :, p:p + x.h, p:p + x.w] = x.data
-    # every tap's window, (N, C_in, H_out, W_out, K, K): a view
-    windows = sliding_window_view(padded, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+    # (N, C_in, S*H_s, W_out, K) view, then (N, phase, kx, C_in, H_s*W_out)
+    # planes; a phase past the last tap row (S > K) is dropped
+    windows = sliding_window_view(padded[:, :, :s * hs], k, axis=3)[:, :, :, ::s]
+    phases = windows.reshape(n, cin, hs, s, ow, k)[:, :, :, :k]
+    planes = np.ascontiguousarray(phases.transpose(0, 3, 5, 1, 2, 4))
+    planes = planes.reshape(*planes.shape[:3], cin, hs * ow)
     # (C_out, K^2 * C_in): a group's weights are a strided view, no copy
     taps = layer.weights.transpose(0, 2, 3, 1).astype(np.float64, order="C")
     taps = taps.reshape(cout, k * k * cin)
-    groups = [(taps[:, group.start * cin:group.stop * cin], offsets)
+    groups = [(taps[:, group.start * cin:group.stop * cin], group.start, len(offsets))
               for group, offsets in _tap_groups(k, cin)]
     inner = groups[0][0].shape[1]
-    w, q = _panel_split(cout, inner, ow)
-    m = max(1, w // ow)  # whole rows per panel, when a row is half a panel or less
     per_image = -(-_shares(n * oh * ow * cin * cout * k * k, n * oh) // max(n, 1))
-    units = -(-oh // m)  # runs of m rows in an image
-    rows = m * -(-units // per_image)
+    rows = -(-oh // per_image)
     bands = [(i, r, min(r + rows, oh)) for i in range(n) for r in range(0, oh, rows)]
     bias = layer.bias.astype(np.float64)[:, None, None]
     out = np.empty((n, cout, oh, ow), dtype=np.float32)
 
-    def grids(r0, r1):
-        """A band's panel grids: (rows, columns, (a, b, m, pw)) for a x b
-        panels of m rows by pw columns; fewer than a tile of positions
-        left past the whole panels join the last of them."""
-        if m == 1:
-            cut = [(r0, r1, 0, q * w, (r1 - r0, q, 1, w)),
-                   (r0, r1, q * w, ow, (r1 - r0, 1, 1, ow - q * w))]
-        else:
-            a = (r1 - r0) // m
-            if a and 0 < (r1 - r0 - a * m) * ow < _TILE:
-                a -= 1
-            mid = r0 + a * m
-            cut = [(r0, mid, 0, ow, (a, 1, m, ow)), (mid, r1, 0, ow, (1, 1, r1 - mid, ow))]
-        return [(slice(y0, y1), slice(x0, x1), shape)
-                for y0, y1, x0, x1, shape in cut if y1 > y0 and x1 > x0]
-
-    def carve(buf, depth, parts):
-        """A flat buffer as one C-contiguous (a, b, depth, m*pw) panel
-        buffer per grid."""
-        views, at = [], 0
-        for _, _, (a, b, mm, pw) in parts:
-            size = a * b * depth * mm * pw
-            views.append(buf[at:at + size].reshape(a, b, depth, mm * pw))
-            at += size
-        return views
-
     def run(share, bufs):
         for band in share:
             i, r0, r1 = bands[band]
-            parts = grids(r0, r1)
-            acc = carve(bufs[2], cout, parts)
-            prod = carve(bufs[1], cout, parts)
-            for gi, (wg, offsets) in enumerate(groups):
-                cols = carve(bufs[0], wg.shape[1], parts)
-                for (ys, xs, shape), c in zip(parts, cols):
-                    dst = c.reshape(*c.shape[:3], *shape[2:])
-                    src = _grid(windows[i, :, ys, xs], *shape)
-                    for j, (ky, kx) in enumerate(offsets):
-                        dst[:, :, j * cin:(j + 1) * cin] = src[..., ky, kx]
+            size = (r1 - r0) * ow
+            w, q = _panel_split(cout, inner, size)
+            acc, prod = (b[:cout * size].reshape(cout, size) for b in bufs[1:])
+            sums = [_panels(acc, w, q), _panels(prod, w, q)]
+            # per group size g: its panels, and the (g, C_in, q, w) and
+            # (g, C_in, rest) views of them that its taps are copied into
+            cols = {}
+            for g in {g for _, _, g in groups}:
+                head = bufs[0][:q * w * g * cin].reshape(q, g * cin, w)
+                rest = bufs[0][q * w * g * cin:size * g * cin].reshape(g * cin, size - q * w)
+                cols[g] = ((head, rest), (head.reshape(q, g, cin, w).transpose(1, 2, 0, 3),
+                                          rest.reshape(g, cin, size - q * w)))
+            for gi, (wg, t, g) in enumerate(groups):
+                panels, dst = cols[g]
+                # taps t..t+g-1, one copy per kernel row ky
+                for ky in range(t // k, (t + g - 1) // k + 1):
+                    t0, t1 = max(t, ky * k), min(t + g, ky * k + k)
+                    src = planes[i, ky % s, t0 - ky * k:t1 - ky * k, :, (r0 + ky // s) * ow:]
+                    dst[0][t0 - t:t1 - t] = src[..., :q * w].reshape(t1 - t0, cin, q, w)
+                    dst[1][t0 - t:t1 - t] = src[..., q * w:size]
                 # a GEMM never returns -0.0, so the first group's product
                 # is bit for bit the sum 0.0 + product
-                _panel_matmul(wg, cols, prod if gi else acc)
-                for a, pr in zip(acc, prod if gi else ()):
-                    a += pr
-            for (ys, xs, shape), a in zip(parts, acc):
-                # the float64 sum, rounded once to float32
-                np.add(a.reshape(*a.shape[:3], *shape[2:]), bias,
-                       out=_grid(out[i, :, ys, xs], *shape))
+                _panel_matmul(wg, panels, sums[gi > 0])
+                if gi:
+                    acc += prod
+            # the float64 sum, rounded once to float32
+            np.add(acc.reshape(cout, r1 - r0, ow), bias, out=out[i, :, r0:r1])
 
     size = rows * ow
     _spread(run, len(bands), lambda: (np.empty(size * inner), np.empty(size * cout),

@@ -170,6 +170,13 @@ def check_kernel(fn, oracle, x, layer):
 
 GRID = [(k, s, p, n)
         for k in (1, 3, 5) for s in (1, 2, 3) for p in (0, 1, 2) for n in (1, 2)]
+# even kernels, K = 7, padding 3 and strides above the kernel, each small
+# enough for a deconv of a 5-row input to keep an output row
+GRID += [(k, s, p, n)
+         for k, s, p in ((2, 1, 0), (2, 2, 1), (4, 2, 3), (4, 3, 1), (6, 1, 3), (6, 2, 2),
+                         (7, 1, 3), (7, 2, 0), (7, 4, 3), (1, 3, 0), (1, 4, 1), (2, 3, 0),
+                         (2, 4, 1), (2, 4, 3))
+         for n in (1, 2)]
 
 
 @pytest.mark.parametrize("k,s,p,n", GRID)
@@ -292,8 +299,8 @@ CODEC_LAYERS = ([("conv", cin, cout, e) for cin, cout in ((3, 128), (128, 128), 
 
 # odd extents, batches of 2, ragged tap groups (48 channels: 12 pairs and
 # one single tap), 1x1 and 3x3 kernels, stride 3, no padding, output
-# rows of 1 and 3 positions (panels of whole rows, one left over) and
-# empty batches:
+# rows of 1 and 3 positions (panels that span several rows) and empty
+# batches:
 # (kind, C_in, C_out, kernel, stride, padding, input dims)
 ODD_LAYERS = [
     ("conv", 48, 6, 5, 2, 2, (2, 48, 19, 23)),
@@ -304,6 +311,20 @@ ODD_LAYERS = [
     ("conv", 6, 4, 3, 1, 1, (2, 6, 9, 1)),
     ("conv", 128, 128, 5, 2, 2, (1, 128, 41, 5)),
     ("conv", 3, 4, 3, 2, 1, (0, 3, 5, 5)),
+    # even kernels, K = 7 and padding 3: a stride-phase plane has H_out +
+    # (K-1)//S rows, and the K = 4, stride 2 and K = 2, stride 3 ones
+    # leave an input row past the last plane row, which no tap reads
+    ("conv", 5, 4, 2, 2, 0, (2, 5, 9, 10)),
+    ("conv", 8, 6, 4, 1, 3, (1, 8, 7, 12)),
+    ("conv", 48, 7, 6, 2, 3, (2, 48, 11, 13)),
+    ("conv", 16, 5, 4, 2, 0, (1, 16, 15, 17)),
+    ("conv", 3, 8, 7, 2, 3, (1, 3, 21, 17)),
+    ("conv", 64, 5, 7, 3, 1, (1, 64, 16, 19)),
+    # strides above the kernel: a phase past the last tap row is never read
+    ("conv", 4, 3, 1, 3, 0, (2, 4, 10, 11)),
+    ("conv", 6, 5, 2, 4, 1, (1, 6, 15, 14)),
+    ("conv", 4, 3, 2, 3, 0, (2, 4, 10, 11)),
+    ("conv", 2, 3, 2, 4, 3, (2, 2, 8, 7)),
     ("deconv", 3, 4, 3, 2, 1, (0, 3, 5, 5)),
     ("deconv", 64, 48, 5, 2, 2, (2, 64, 7, 9)),
     ("deconv", 5, 3, 3, 3, 0, (2, 5, 6, 5)),

@@ -177,6 +177,27 @@ def test_shift_round_per_element():
     assert np.array_equal(out, np.array([3, 5, 10]))  # 2.5 rounds away
 
 
+def python_rshift_round(v: int, n: int) -> int:
+    """v / 2**n rounded half away from zero, in Python's unbounded ints."""
+    m = (abs(v) + (1 << (n - 1))) >> n
+    return m if v >= 0 else -m
+
+
+@pytest.mark.parametrize("n", [1, 2, 62, 63])
+def test_rounding_shifts_do_not_wrap_near_2_63(n):
+    """A bias added before the shift wrapped past 2**63:
+    rshift_round(2**62 + 1, 63) returned -1, and rshift_round(2**63 - 1, 1)
+    and shift_round([2**63 - 1], [1]) returned -2**62."""
+    edges = [2**63 - 1, -(2**63 - 1), -2**63, 2**62 + 1, -(2**62 + 1), 2**62, -2**62,
+             3 << 61, -(3 << 61), 1, -1, 0]
+    v = np.array(edges, dtype=np.int64)
+    want = np.array([python_rshift_round(x, n) for x in edges], dtype=np.int64)
+    for got in (rshift_round(v, n), shift_round(v, n), shift_round(v, np.full(v.shape, n))):
+        assert np.array_equal(got, want)
+    for x, w in zip(edges, want):
+        assert rshift_round(x, n) == w
+
+
 @pytest.mark.parametrize("shift", [
     lambda v, n: rshift_round(v, n),
     lambda v, n: shift_round(v, n),
