@@ -21,24 +21,19 @@ Every product runs through gdn._panel_matmul, on column panels of at
 most gdn._PANEL multiply-adds read from contiguous panel-major float64
 buffers, so OpenBLAS keeps it on the calling thread: a whole-layer GEMM
 wakes its helper thread, which then spins through the code between
-GEMMs and nearly doubled the CPU time of a codec forward. The work is
-parallel one level up instead: patching._spread deals bands of conv
-output rows, or slices of deconv output channels, to one thread per
-usable CPU, for layers with at least _SHARE_MACS multiply-adds per
-thread. Each share gathers, multiplies and adds its own panels and
-writes float32 straight into the output; its buffers are allocated in
-the calling thread.
+GEMMs and nearly doubled the CPU time of a codec forward. conv and
+deconv run on the calling thread; multi-core work lives at the patch
+level, in patch extraction and reassembly.
 
 None of this moves a bit. A GEMM sums each column in an order fixed by
 the inner dimension alone, for every column in a whole gdn._TILE-column
 tile of its kernel, so panels of whole tiles give those columns the
-sums of one whole-layer product; a share adds the same group products
-in the same tap order, and a band or a channel slice is summed by one
-thread whatever the thread count. The few columns past the last whole
-tile of a panel sum in a remainder kernel, as the last columns of a
-whole-layer product did, with an order that can depend on the product's
-width: they agree to float64 rounding, so their float32 outputs match
-unless a sum lies within a float64 step of a float32 rounding boundary.
+sums of one whole-layer product, added in the same tap order. The few
+columns past the last whole tile of a panel sum in a remainder kernel,
+as the last columns of a whole-layer product did, with an order that
+can depend on the product's width: they agree to float64 rounding, so
+their float32 outputs match unless a sum lies within a float64 step of
+a float32 rounding boundary.
 """
 
 from __future__ import annotations
@@ -51,8 +46,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ParameterError, ShapeError, ToolkitError, integral_bits
 from .gdn import (GdnParams, _panel_matmul, _panel_split, _panels, gdn_float,
                   igdn_float)
-from . import patching
-from .patching import _spread
 from .tensor import Tensor, _check_finite
 
 __all__ = [
@@ -259,15 +252,14 @@ def layer_extents(model: ModelSpec, input_hw):
         hw = out
 
 
-def _tap_weights(layer: LayerSpec, rows=slice(None)) -> np.ndarray:
-    """float64 weights of the output channels in rows as (K, K, C_out,
-    C_in): one contiguous matrix per tap.
+def _tap_weights(layer: LayerSpec) -> np.ndarray:
+    """float64 weights as (K, K, C_out, C_in): one contiguous matrix per
+    tap.
 
     The float32 weights are put in tap-major order by the cast itself, so
     no float64 copy is transposed after it."""
-    w = layer.weights[rows]
-    cout, cin, k, _ = w.shape
-    taps = w.reshape(cout * cin, k * k).T.astype(np.float64, order="C")
+    cout, cin, k, _ = layer.weights.shape
+    taps = layer.weights.reshape(cout * cin, k * k).T.astype(np.float64, order="C")
     return taps.reshape(k, k, cout, cin)
 
 
@@ -286,21 +278,6 @@ def _tap_groups(k: int, thin: int) -> list:
     return [(slice(t, t + g), offsets[t:t + g]) for t in range(0, k * k, g)]
 
 
-# Multiply-adds a conv or deconv gives each thread at the least. On a
-# 2-CPU VM the codec's layers of 0.2 GFLOP or less ran 10-30% slower as
-# two shares whenever both threads landed on one CPU, and gained little
-# when they did not; its two largest layers (0.7-0.8 GFLOP) gained. A
-# module constant like gdn._PANEL, not a setting: it changes no bit.
-_SHARE_MACS = 1 << 27
-
-
-def _shares(macs: int, most: int) -> int:
-    """How many threads to deal a layer of macs multiply-adds to: one
-    per usable CPU, at most most, each with at least _SHARE_MACS (and
-    at least one)."""
-    return max(1, min(most, patching._usable_cpus(), macs // _SHARE_MACS))
-
-
 def conv2d_forward(x: Tensor, layer: LayerSpec) -> Tensor:
     """Strided 2-D cross-correlation with zero padding.
 
@@ -311,18 +288,16 @@ def conv2d_forward(x: Tensor, layer: LayerSpec) -> Tensor:
     (oy + ky//S)*W_out + ox, so a tap's im2col rows for any run of
     output rows are one contiguous slice of a plane.
 
-    The output rows of each image are cut into one band per _shares
-    thread (fewer for a batch), dealt out by patching._spread. Each band
-    runs one _panel_matmul per _tap_groups(K, C_in) group of g taps: the
-    band's flat positions are cut by _panel_split, the taps' slices are
-    copied into the band's panel-major float64 buffer of g*C_in rows
+    Each image runs one _panel_matmul per _tap_groups(K, C_in) group of
+    g taps: its flat output positions are cut by _panel_split, the taps'
+    slices are copied into a panel-major float64 buffer of g*C_in rows
     (one copy per kernel row, whose taps read adjacent planes at one
     offset), and the group's (C_out, g*C_in) weights multiply it. The group
     products are summed in float64 in tap order, the bias is added, and
-    the band's rows are rounded once to float32 straight into the output.
-    A 3-channel first layer with a 5x5 kernel is one product per band
-    with an inner dimension of 75, not 25 with an inner dimension of 3.
-    Wide layers (g = 1) sum the taps exactly as a per-tap loop does.
+    the image is rounded once to float32 straight into the output. A
+    3-channel first layer with a 5x5 kernel is one product per image with
+    an inner dimension of 75, not 25 with an inner dimension of 3. Wide
+    layers (g = 1) sum the taps exactly as a per-tap loop does.
     """
     if layer.kind != "conv":
         raise ParameterError(f"conv2d_forward got a {layer.kind} layer")
@@ -352,46 +327,37 @@ def conv2d_forward(x: Tensor, layer: LayerSpec) -> Tensor:
     groups = [(taps[:, group.start * cin:group.stop * cin], group.start, len(offsets))
               for group, offsets in _tap_groups(k, cin)]
     inner = groups[0][0].shape[1]
-    per_image = -(-_shares(n * oh * ow * cin * cout * k * k, n * oh) // max(n, 1))
-    rows = -(-oh // per_image)
-    bands = [(i, r, min(r + rows, oh)) for i in range(n) for r in range(0, oh, rows)]
     bias = layer.bias.astype(np.float64)[:, None, None]
     out = np.empty((n, cout, oh, ow), dtype=np.float32)
-
-    def run(share, bufs):
-        for band in share:
-            i, r0, r1 = bands[band]
-            size = (r1 - r0) * ow
-            w, q = _panel_split(cout, inner, size)
-            acc, prod = (b[:cout * size].reshape(cout, size) for b in bufs[1:])
-            sums = [_panels(acc, w, q), _panels(prod, w, q)]
-            # per group size g: its panels, and the (g, C_in, q, w) and
-            # (g, C_in, rest) views of them that its taps are copied into
-            cols = {}
-            for g in {g for _, _, g in groups}:
-                head = bufs[0][:q * w * g * cin].reshape(q, g * cin, w)
-                rest = bufs[0][q * w * g * cin:size * g * cin].reshape(g * cin, size - q * w)
-                cols[g] = ((head, rest), (head.reshape(q, g, cin, w).transpose(1, 2, 0, 3),
-                                          rest.reshape(g, cin, size - q * w)))
-            for gi, (wg, t, g) in enumerate(groups):
-                panels, dst = cols[g]
-                # taps t..t+g-1, one copy per kernel row ky
-                for ky in range(t // k, (t + g - 1) // k + 1):
-                    t0, t1 = max(t, ky * k), min(t + g, ky * k + k)
-                    src = planes[i, ky % s, t0 - ky * k:t1 - ky * k, :, (r0 + ky // s) * ow:]
-                    dst[0][t0 - t:t1 - t] = src[..., :q * w].reshape(t1 - t0, cin, q, w)
-                    dst[1][t0 - t:t1 - t] = src[..., q * w:size]
-                # a GEMM never returns -0.0, so the first group's product
-                # is bit for bit the sum 0.0 + product
-                _panel_matmul(wg, panels, sums[gi > 0])
-                if gi:
-                    acc += prod
-            # the float64 sum, rounded once to float32
-            np.add(acc.reshape(cout, r1 - r0, ow), bias, out=out[i, :, r0:r1])
-
-    size = rows * ow
-    _spread(run, len(bands), lambda: (np.empty(size * inner), np.empty(size * cout),
-                                      np.empty(size * cout)))
+    size = oh * ow
+    w, q = _panel_split(cout, inner, size)
+    buf = np.empty(size * inner)
+    acc, prod = np.empty((cout, size)), np.empty((cout, size))
+    sums = [_panels(acc, w, q), _panels(prod, w, q)]
+    # per group size g: its panels, and the (g, C_in, q, w) and
+    # (g, C_in, rest) views of them that its taps are copied into
+    cols = {}
+    for g in {g for _, _, g in groups}:
+        head = buf[:q * w * g * cin].reshape(q, g * cin, w)
+        rest = buf[q * w * g * cin:size * g * cin].reshape(g * cin, size - q * w)
+        cols[g] = ((head, rest), (head.reshape(q, g, cin, w).transpose(1, 2, 0, 3),
+                                  rest.reshape(g, cin, size - q * w)))
+    for i in range(n):
+        for gi, (wg, t, g) in enumerate(groups):
+            panels, dst = cols[g]
+            # taps t..t+g-1, one copy per kernel row ky
+            for ky in range(t // k, (t + g - 1) // k + 1):
+                t0, t1 = max(t, ky * k), min(t + g, ky * k + k)
+                src = planes[i, ky % s, t0 - ky * k:t1 - ky * k, :, ky // s * ow:]
+                dst[0][t0 - t:t1 - t] = src[..., :q * w].reshape(t1 - t0, cin, q, w)
+                dst[1][t0 - t:t1 - t] = src[..., q * w:size]
+            # a GEMM never returns -0.0, so the first group's product
+            # is bit for bit the sum 0.0 + product
+            _panel_matmul(wg, panels, sums[gi > 0])
+            if gi:
+                acc += prod
+        # the float64 sum, rounded once to float32
+        np.add(acc.reshape(cout, oh, ow), bias, out=out[i])
     _check_finite(out)  # a float32 cast can overflow
     return Tensor._adopt(out)
 
@@ -400,18 +366,15 @@ def deconv2d_forward(x: Tensor, layer: LayerSpec) -> Tensor:
     """Transposed convolution: scatter-add of stride-spaced kernel copies.
 
     The input is copied once to panel-major float64 columns, (C_in,
-    N*H*W) cut by _panel_split. The output channels are cut into one
-    slice per _shares thread (of at least g channels), dealt out by
-    patching._spread. For each _tap_groups(K, C_out) group of g taps, a
-    slice runs one _panel_matmul of its (g*C_slice, C_in) weights,
-    written straight into a (g*C_slice, N*H*W) product buffer, whose g
-    tap slices are then added in tap order at their stride-spaced
-    offsets into a float64 canvas. The canvas is cropped by the padding,
-    the bias is added, and the slice is rounded once to float32 into the
-    output. Each output row of a product is the same C_in-term dot
-    product whatever rows are stacked with it, so a thin 128 -> 3 layer
-    runs one product instead of 25 and adds exactly what a per-tap loop
-    adds.
+    N*H*W) cut by _panel_split. For each _tap_groups(K, C_out) group of g
+    taps, one _panel_matmul of its (g*C_out, C_in) weights is written
+    straight into a (g*C_out, N*H*W) product buffer, whose g tap slices
+    are then added in tap order at their stride-spaced offsets into a
+    float64 canvas. The canvas is cropped by the padding, the bias is
+    added, and the result is rounded once to float32 into the output.
+    Each output row of a product is the same C_in-term dot product
+    whatever rows are stacked with it, so a thin 128 -> 3 layer runs one
+    product instead of 25 and adds exactly what a per-tap loop adds.
     """
     if layer.kind != "deconv":
         raise ParameterError(f"deconv2d_forward got a {layer.kind} layer")
@@ -424,35 +387,23 @@ def deconv2d_forward(x: Tensor, layer: LayerSpec) -> Tensor:
     n, h, w, cin, cout = x.n, x.h, x.w, layer.in_channels, layer.out_channels
     groups = _tap_groups(k, cout)
     g = len(groups[0][1])
-    # a slice keeps at least g channels: the 128 -> 3 layer on 57 x 57 ran
-    # 3.9 ms as one slice and 4.4 ms (5.7 ms of CPU) as slices of 1 and 2
-    parts = _shares(n * h * w * cin * cout * k * k, cout // g)
-    edges = [cout * j // parts for j in range(parts + 1)]
-    thick = max(b - a for a, b in zip(edges, edges[1:]))
-    width, q = _panel_split(g * thick, cin, n * h * w)
+    width, q = _panel_split(g * cout, cin, n * h * w)
     xcols = [part.astype(np.float64, order="C")
              for part in _panels(x.data.transpose(1, 0, 2, 3).reshape(cin, -1), width, q)]
     full = np.zeros((cout, n, (h - 1) * s + k, (w - 1) * s + k),
                     dtype=np.float64)
     bias = layer.bias.astype(np.float64)[:, None, None, None]
     out = np.empty((n, cout, oh, ow), dtype=np.float32)
-    taps = [_tap_weights(layer, slice(a, b)).reshape(k * k, b - a, cin)
-            for a, b in zip(edges, edges[1:])]
-
-    def run(share, prod):
-        for j in share:
-            c0, c1 = edges[j], edges[j + 1]
-            for group, offsets in groups:
-                wg = taps[j][group].reshape(-1, cin)
-                rows = prod[:len(wg)]
-                _panel_matmul(wg, xcols, _panels(rows, width, q))
-                for t, (ky, kx) in enumerate(offsets):
-                    full[c0:c1, :, ky:ky + s * h:s, kx:kx + s * w:s] += \
-                        rows[t * (c1 - c0):(t + 1) * (c1 - c0)].reshape(c1 - c0, n, h, w)
-            np.add(full[c0:c1, :, p:p + oh, p:p + ow], bias[c0:c1],
-                   out=out[:, c0:c1].transpose(1, 0, 2, 3))
-
-    _spread(run, parts, lambda: np.empty((g * thick, n * h * w)))
+    taps = _tap_weights(layer).reshape(k * k, cout, cin)
+    prod = np.empty((g * cout, n * h * w))
+    for group, offsets in groups:
+        wg = taps[group].reshape(-1, cin)
+        rows = prod[:len(wg)]
+        _panel_matmul(wg, xcols, _panels(rows, width, q))
+        for t, (ky, kx) in enumerate(offsets):
+            full[:, :, ky:ky + s * h:s, kx:kx + s * w:s] += \
+                rows[t * cout:(t + 1) * cout].reshape(cout, n, h, w)
+    np.add(full[:, :, p:p + oh, p:p + ow], bias, out=out.transpose(1, 0, 2, 3))
     _check_finite(out)  # a float32 cast can overflow
     return Tensor._adopt(out)
 

@@ -9,7 +9,7 @@ spacing of each element plus 1e-9 of the largest magnitude. The grouped
 deconv is also held byte for byte to the one-GEMM-per-tap deconv it
 replaced, and the panelled kernels byte for byte to the whole-layer
 GEMM kernels they replaced (gemm_conv, gemm_deconv), at every layer
-shape of the paper codec and on 1, 2 and 3 usable CPUs.
+shape of the paper codec.
 """
 
 import math
@@ -142,13 +142,6 @@ def float32_gemm_conv(x, weights, bias, stride, padding):
     return acc.reshape(cout, n, oh, ow).transpose(1, 0, 2, 3)
 
 
-def use_cpus(monkeypatch, cpus):
-    """Run as if cpus CPUs were usable, and deal even a small layer to
-    all of them."""
-    monkeypatch.setattr(patching, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(model, "_SHARE_MACS", 1)
-
-
 def conv_extent(k, s, p, base):
     """The first extent >= base whose conv span (h + 2p - k) is not a
     multiple of the stride, when the stride is above 1."""
@@ -233,33 +226,26 @@ def test_deconv_tap_groups_match_per_tap_kernel(cin, cout):
                     assert got.tobytes() == per_tap_deconv(inp, case).tobytes()
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("cout,gemms,shared", [(3, 1, False), (5, 1, False), (48, 13, True),
-                                               (128, 25, True)])
-def test_deconv_tap_groups_run_one_gemm_per_group(cout, gemms, shared, cpus, monkeypatch):
+@pytest.mark.parametrize("cout,gemms", [(3, 1), (5, 1), (48, 13), (128, 25)])
+def test_deconv_tap_groups_run_one_gemm_per_group(cout, gemms):
     """The codec's 128 -> 3 last layer is one batched product over all 25
-    taps. Each share of the output channels holds at least as many
-    channels as a group has taps, so only the 48- and 128-channel layers
-    are shared between CPUs."""
-    use_cpus(monkeypatch, cpus)
+    taps."""
     rng = np.random.default_rng(cout)
     layer = make_conv(128, cout, k=5, s=2, p=2, rng=rng, kind="deconv")
     x = rng.normal(0.0, 1.0, (1, 128, 15, 13)).astype(np.float32)
     with mock.patch.object(model, "_panel_matmul", wraps=model._panel_matmul) as spy:
         got = deconv2d_forward(Tensor(x), layer).data
-    assert spy.call_count == gemms * (cpus if shared else 1)
+    assert spy.call_count == gemms
     assert got.tobytes() == per_tap_deconv(x, layer).tobytes()
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("s", [1, 2])
 @pytest.mark.parametrize("cin,gemms", [(1, 1), (3, 1), (48, 13), (128, 25)])
-def test_conv_tap_groups_match_einsum_oracle(cin, gemms, s, cpus, monkeypatch):
+def test_conv_tap_groups_match_einsum_oracle(cin, gemms, s):
     """5x5 taps in groups of min(25, 128 // C_in): one batched product per
-    band of output rows for thin inputs, 12 pairs plus a ragged single tap
-    at 48 channels, and one product per tap from 128 channels up. On 1 or
-    2 usable CPUs each of the 2 images is one band."""
-    use_cpus(monkeypatch, cpus)
+    image for thin inputs, 12 pairs plus a ragged single tap at 48
+    channels, and one product per tap from 128 channels up, for each of
+    the 2 images."""
     rng = np.random.default_rng([cin, s])
     h = conv_extent(5, s, 2, 7)
     w = conv_extent(5, s, 2, h + 2)
@@ -271,23 +257,8 @@ def test_conv_tap_groups_match_einsum_oracle(cin, gemms, s, cpus, monkeypatch):
     assert spy.call_count == gemms * 2
 
 
-@pytest.mark.parametrize("kind,e,shares", [("conv", 64, 2), ("conv", 32, 1),
-                                           ("deconv", 29, 2), ("deconv", 15, 1)])
-def test_layers_below_share_macs_keep_to_one_thread(kind, e, shares, monkeypatch):
-    """On 2 usable CPUs the codec's two largest 128 -> 128 layers (0.84
-    and 0.69 GFLOP) are dealt to both, and the 0.2 GFLOP ones stay on
-    one."""
-    monkeypatch.setattr(patching, "_usable_cpus", lambda: 2)
-    rng = np.random.default_rng(e)
-    layer = make_conv(128, 128, k=5, s=2, p=2, rng=rng, kind=kind)
-    x = Tensor(rng.normal(0.0, 1.0, (1, 128, e, e)).astype(np.float32))
-    with mock.patch.object(model, "_spread", wraps=model._spread) as spread:
-        ORACLES[kind][0](x, layer)
-    assert spread.call_args.args[1] == shares
-
-
 # ---------------------------------------------------------------------------
-# Panels and shares keep every bit of the whole-layer GEMM kernels
+# Panels keep every bit of the whole-layer GEMM kernels
 # ---------------------------------------------------------------------------
 
 # the paper codec's layers at the extents it meets them on a 128 x 128
@@ -335,44 +306,56 @@ ODD_LAYERS = [
 ORACLES = {"conv": (conv2d_forward, gemm_conv), "deconv": (deconv2d_forward, gemm_deconv)}
 
 
-def check_every_bit(layer, x, monkeypatch):
+def check_every_bit(layer, x):
     fn, oracle = ORACLES[layer.kind]
     want = oracle(x, layer).tobytes()
-    for cpus in (1, 2, 3):
-        use_cpus(monkeypatch, cpus)
-        got = fn(Tensor(x), layer).data
-        assert got.flags.c_contiguous
-        assert got.tobytes() == want, f"{cpus} usable CPUs"
+    got = fn(Tensor(x), layer).data
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want
 
 
 @pytest.mark.parametrize("kind,cin,cout,e", CODEC_LAYERS)
-def test_codec_layers_keep_every_bit(kind, cin, cout, e, monkeypatch):
+def test_codec_layers_keep_every_bit(kind, cin, cout, e):
     """Every codec layer shape, on random weights and on the
-    order-sensitive ones, at 1, 2 and 3 usable CPUs."""
+    order-sensitive ones."""
     rng = np.random.default_rng([cin, cout, e])
     layer = make_conv(cin, cout, k=5, s=2, p=2, rng=rng, kind=kind)
     x = rng.normal(0.0, 1.0, (1, cin, e, e)).astype(np.float32)
-    check_every_bit(layer, x, monkeypatch)
-    check_every_bit(order_sensitive(layer, rng), np.ones_like(x), monkeypatch)
+    check_every_bit(layer, x)
+    check_every_bit(order_sensitive(layer, rng), np.ones_like(x))
 
 
 @pytest.mark.parametrize("kind,cin,cout,k,s,p,dims", ODD_LAYERS)
-def test_odd_layers_keep_every_bit(kind, cin, cout, k, s, p, dims, monkeypatch):
-    """Odd extents, batches of 2 and ragged tap groups, at 1, 2 and 3
-    usable CPUs. The order-sensitive weights run on the deconvs, whose
-    products sum each tap on its own; a conv's thin-input product sums
-    several taps in one BLAS dot product, whose order at a remainder
-    column depends on the product's width."""
+def test_odd_layers_keep_every_bit(kind, cin, cout, k, s, p, dims):
+    """Odd extents, batches of 2 and ragged tap groups. The
+    order-sensitive weights run on the deconvs, whose products sum each
+    tap on its own; a conv's thin-input product sums several taps in one
+    BLAS dot product, whose order at a remainder column depends on the
+    product's width."""
     rng = np.random.default_rng([cin, cout, k, s])
     layer = make_conv(cin, cout, k=k, s=s, p=p, rng=rng, kind=kind)
     x = rng.normal(0.0, 1.0, dims).astype(np.float32)
-    check_every_bit(layer, x, monkeypatch)
+    check_every_bit(layer, x)
     if kind == "deconv":
-        check_every_bit(order_sensitive(layer, rng), np.ones_like(x), monkeypatch)
+        check_every_bit(order_sensitive(layer, rng), np.ones_like(x))
+
+
+@pytest.mark.parametrize("kind,e", [("conv", 64), ("deconv", 29)])
+def test_codec_layers_run_on_the_calling_thread(kind, e, monkeypatch):
+    """The codec's two largest 128 -> 128 layers (0.84 and 0.69 GFLOP),
+    on 3 usable CPUs, start no thread pool."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a conv or deconv started a thread pool")
+
+    monkeypatch.setattr(patching, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(patching, "ThreadPoolExecutor", no_pool)
+    rng = np.random.default_rng([kind == "conv", e])
+    layer = paper_layer(kind, rng)
+    check_every_bit(layer, rng.normal(0.0, 1.0, (1, 128, e, e)).astype(np.float32))
 
 
 @pytest.mark.parametrize("kind", ["conv", "deconv"])
-def test_zero_maps_keep_the_sign_of_zero(kind, monkeypatch):
+def test_zero_maps_keep_the_sign_of_zero(kind):
     """A zero map through negative weights and a -0.0 bias: the first tap
     group's product goes straight into the accumulator, which is the
     sum 0.0 + product only while no product is -0.0."""
@@ -380,16 +363,15 @@ def test_zero_maps_keep_the_sign_of_zero(kind, monkeypatch):
     layer = model.LayerSpec(kind=kind, in_channels=48, out_channels=5, kernel=3, stride=2,
                             padding=1, weights=-np.abs(layer.weights),
                             bias=np.full(5, -0.0, dtype=np.float32))
-    check_every_bit(layer, np.zeros((2, 48, 7, 6), dtype=np.float32), monkeypatch)
+    check_every_bit(layer, np.zeros((2, 48, 7, 6), dtype=np.float32))
 
 
 RECORDED = [(kind, cin, cout, 5, 2, 2, (1, cin, e, e)) for kind, cin, cout, e in CODEC_LAYERS
             if e in (16, 15, 8)] + ODD_LAYERS
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("kind,cin,cout,k,s,p,dims", RECORDED)
-def test_conv_gemms_stay_single_threaded(kind, cin, cout, k, s, p, dims, cpus, monkeypatch):
+def test_conv_gemms_stay_single_threaded(kind, cin, cout, k, s, p, dims):
     """Every np.matmul a conv or deconv makes reads a C-contiguous
     panel-major column buffer; each 2-D product's whole tiles are at most
     _PANEL multiply-adds, small enough for OpenBLAS to run on the calling
@@ -397,7 +379,6 @@ def test_conv_gemms_stay_single_threaded(kind, cin, cout, k, s, p, dims, cpus, m
     lone column unless the layer has one position); and the products
     cover the layer's loop count of multiply-adds, so no tap runs outside
     np.matmul."""
-    use_cpus(monkeypatch, cpus)
     rng = np.random.default_rng([cin, cout, k])
     layer = make_conv(cin, cout, k=k, s=s, p=p, rng=rng, kind=kind)
     x = Tensor(rng.normal(0.0, 1.0, dims).astype(np.float32))
