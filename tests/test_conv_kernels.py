@@ -142,6 +142,16 @@ def float32_gemm_conv(x, weights, bias, stride, padding):
     return acc.reshape(cout, n, oh, ow).transpose(1, 0, 2, 3)
 
 
+def use_cpus(monkeypatch, cpus):
+    """Run as if cpus CPUs were usable, and fail if a thread pool
+    starts."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a conv or deconv started a thread pool")
+
+    monkeypatch.setattr(patching, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(patching, "ThreadPoolExecutor", no_pool)
+
+
 def conv_extent(k, s, p, base):
     """The first extent >= base whose conv span (h + 2p - k) is not a
     multiple of the stride, when the stride is above 1."""
@@ -226,10 +236,12 @@ def test_deconv_tap_groups_match_per_tap_kernel(cin, cout):
                     assert got.tobytes() == per_tap_deconv(inp, case).tobytes()
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("cout,gemms", [(3, 1), (5, 1), (48, 13), (128, 25)])
-def test_deconv_tap_groups_run_one_gemm_per_group(cout, gemms):
+def test_deconv_tap_groups_run_one_gemm_per_group(cout, gemms, cpus, monkeypatch):
     """The codec's 128 -> 3 last layer is one batched product over all 25
-    taps."""
+    taps. The count does not depend on the number of usable CPUs."""
+    use_cpus(monkeypatch, cpus)
     rng = np.random.default_rng(cout)
     layer = make_conv(128, cout, k=5, s=2, p=2, rng=rng, kind="deconv")
     x = rng.normal(0.0, 1.0, (1, 128, 15, 13)).astype(np.float32)
@@ -239,13 +251,15 @@ def test_deconv_tap_groups_run_one_gemm_per_group(cout, gemms):
     assert got.tobytes() == per_tap_deconv(x, layer).tobytes()
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("s", [1, 2])
 @pytest.mark.parametrize("cin,gemms", [(1, 1), (3, 1), (48, 13), (128, 25)])
-def test_conv_tap_groups_match_einsum_oracle(cin, gemms, s):
+def test_conv_tap_groups_match_einsum_oracle(cin, gemms, s, cpus, monkeypatch):
     """5x5 taps in groups of min(25, 128 // C_in): one batched product per
     image for thin inputs, 12 pairs plus a ragged single tap at 48
     channels, and one product per tap from 128 channels up, for each of
-    the 2 images."""
+    the 2 images, on 1 or 2 usable CPUs alike."""
+    use_cpus(monkeypatch, cpus)
     rng = np.random.default_rng([cin, s])
     h = conv_extent(5, s, 2, 7)
     w = conv_extent(5, s, 2, h + 2)
@@ -340,15 +354,12 @@ def test_odd_layers_keep_every_bit(kind, cin, cout, k, s, p, dims):
         check_every_bit(order_sensitive(layer, rng), np.ones_like(x))
 
 
-@pytest.mark.parametrize("kind,e", [("conv", 64), ("deconv", 29)])
+@pytest.mark.parametrize("kind,e", [("conv", 64), ("conv", 32), ("deconv", 29),
+                                    ("deconv", 15)])
 def test_codec_layers_run_on_the_calling_thread(kind, e, monkeypatch):
-    """The codec's two largest 128 -> 128 layers (0.84 and 0.69 GFLOP),
-    on 3 usable CPUs, start no thread pool."""
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a conv or deconv started a thread pool")
-
-    monkeypatch.setattr(patching, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(patching, "ThreadPoolExecutor", no_pool)
+    """The codec's 128 -> 128 layers, the two largest (0.84 and 0.69
+    GFLOP) among them, on 3 usable CPUs, start no thread pool."""
+    use_cpus(monkeypatch, 3)
     rng = np.random.default_rng([kind == "conv", e])
     layer = paper_layer(kind, rng)
     check_every_bit(layer, rng.normal(0.0, 1.0, (1, 128, e, e)).astype(np.float32))
@@ -370,15 +381,17 @@ RECORDED = [(kind, cin, cout, 5, 2, 2, (1, cin, e, e)) for kind, cin, cout, e in
             if e in (16, 15, 8)] + ODD_LAYERS
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("kind,cin,cout,k,s,p,dims", RECORDED)
-def test_conv_gemms_stay_single_threaded(kind, cin, cout, k, s, p, dims):
+def test_conv_gemms_stay_single_threaded(kind, cin, cout, k, s, p, dims, cpus, monkeypatch):
     """Every np.matmul a conv or deconv makes reads a C-contiguous
     panel-major column buffer; each 2-D product's whole tiles are at most
     _PANEL multiply-adds, small enough for OpenBLAS to run on the calling
     thread (a last panel adds fewer than _TILE columns, and is never a
     lone column unless the layer has one position); and the products
     cover the layer's loop count of multiply-adds, so no tap runs outside
-    np.matmul."""
+    np.matmul, on 1, 2 and 3 usable CPUs alike."""
+    use_cpus(monkeypatch, cpus)
     rng = np.random.default_rng([cin, cout, k])
     layer = make_conv(cin, cout, k=k, s=s, p=p, rng=rng, kind=kind)
     x = Tensor(rng.normal(0.0, 1.0, dims).astype(np.float32))
