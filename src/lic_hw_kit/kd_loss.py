@@ -77,7 +77,6 @@ class LossBreakdown:
     l_perceptual: float
     rd: float
     total: float
-    weights: KdWeights
 
 
 def latent_loss(a: Tensor, b: Tensor) -> float:
@@ -115,7 +114,7 @@ def kd_loss(l_latent: float, l_perceptual: float, rate: float,
     total = weights.alpha * l_latent + weights.beta * l_perceptual \
         + weights.gamma * rd
     return LossBreakdown(l_latent=float(l_latent), l_perceptual=float(l_perceptual),
-                         rd=float(rd), total=float(total), weights=weights)
+                         rd=float(rd), total=float(total))
 
 
 def plateau_scheduler(loss_history, schedule: PhaseSchedule,

@@ -12,7 +12,8 @@ small groups of taps into one im2col column buffer
 that a thin input still gives BLAS a deep inner dimension, few enough
 that the buffer stays near the size of one wide tap's window. A single
 product over all taps would need an im2col matrix K^2 times larger.
-conv first copies its padded input once into stride-phase planes, in
+conv first copies its input twice: into a zero-padded array (when it
+pads or the planes need more rows), then into stride-phase planes, in
 which a tap's im2col rows for a run of output rows are one contiguous
 slice; _panel_split cuts that slice into panels as it cuts deconv's
 input.
@@ -213,14 +214,6 @@ class ModelSpec:
                 )
             prev = layer.out_channels
 
-    @property
-    def in_channels(self) -> int:
-        return self.layers[0].in_channels if self.layers else 0
-
-    @property
-    def out_channels(self) -> int:
-        return self.layers[-1].out_channels if self.layers else 0
-
     def param_count(self) -> int:
         return sum(layer.param_count() for layer in self.layers)
 
@@ -281,7 +274,8 @@ def _tap_groups(k: int, thin: int) -> list:
 def conv2d_forward(x: Tensor, layer: LayerSpec) -> Tensor:
     """Strided 2-D cross-correlation with zero padding.
 
-    The padded input is copied once into stride-phase planes: plane
+    The input is copied into a zero-padded array when it pads or S*H_s
+    exceeds its height, and that array into stride-phase planes: plane
     (a, kx) of an image holds padded[S*y + a, S*x + kx] for y < H_s =
     H_out + (K-1)//S and x < W_out, row-major as (C_in, H_s*W_out). Tap
     (ky, kx) at output (oy, ox) reads plane (ky % S, kx) at flat index

@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .errors import DomainError, ParameterError, integral_bits
-from .model import ModelSpec, flops_of, layer_extents
+from .model import ModelSpec, layer_extents
 from .quantizer import PrecisionPolicy
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "bandwidth_load",
     "traffic_of_model",
     "WorkloadProfile",
-    "workload_from_model",
 ]
 
 # Far above the few DPU cores an FPGA instantiates; the simulator keeps
@@ -182,8 +181,3 @@ def traffic_of_model(model: ModelSpec, input_hw,
             for (layer, (h, w), _), bits in zip(layer_extents(model, input_hw),
                                                 policy.widths(model))
             if layer.weights is not None]
-
-
-def workload_from_model(model: ModelSpec, input_hw) -> WorkloadProfile:
-    """Per-frame operations of one module, keyed by its role."""
-    return WorkloadProfile({model.role: float(flops_of(model, input_hw).total)})

@@ -57,10 +57,6 @@ class PruneSchedule:
         if self.fraction_per_iteration * self.iterations >= 1.0:
             raise ParameterError("schedule would remove every filter")
 
-    @property
-    def target_sparsity(self) -> float:
-        return self.fraction_per_iteration * self.iterations
-
 
 @dataclass
 class PruneReport:

@@ -113,7 +113,6 @@ class QuantParams:
     scale: float
     zero_point: int
     bits: int
-    degenerate: bool = False
 
     def __post_init__(self):
         if self.zero_point != 0:
@@ -137,14 +136,13 @@ class QuantParams:
 
 
 def quant_params_from_stats(rng: StatRange, bits: int) -> QuantParams:
-    """Scale from the observed range; degenerate all-zero ranges fall back
-    to a floor scale and are flagged."""
+    """Scale from the observed range; an all-zero range falls back to a
+    floor scale."""
     bits = integral_bits(bits, "bit widths", *WIDTHS)
     bound = max(abs(rng.min_val), abs(rng.max_val))
     levels = (1 << (bits - 1)) - 1
     if bound == 0.0:
-        return QuantParams(scale=SCALE_FLOOR, zero_point=0, bits=bits,
-                           degenerate=True)
+        return QuantParams(scale=SCALE_FLOOR, zero_point=0, bits=bits)
     return QuantParams(scale=bound / levels, zero_point=0, bits=bits)
 
 

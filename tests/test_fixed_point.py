@@ -21,7 +21,6 @@ from lic_hw_kit import (
 )
 from lic_hw_kit import gdn
 from lic_hw_kit.fixed_point import (
-    reciprocal_error_bound,
     rshift_round,
     saturate_q,
     shift_round,
@@ -378,17 +377,6 @@ def test_reciprocal_relative_error_small():
     snapped = from_fixed(q, fmt)
     rel = np.abs(r * snapped - 1.0).max()
     assert rel < 1e-5
-
-
-def test_reciprocal_error_bound_is_honest():
-    fmt = FixedPointFormat(32, 24)
-    bound = reciprocal_error_bound(fmt)
-    rng = np.random.default_rng(4)
-    d = rng.uniform(1.0, 2.0, 2000)
-    q, _ = to_fixed(d, fmt)
-    snapped = from_fixed(q, fmt)
-    rel = np.abs(reciprocal_fixed(snapped, fmt) * snapped - 1.0).max()
-    assert rel <= bound + fmt.ulp
 
 
 def test_reciprocal_rejects_nonpositive():

@@ -56,7 +56,6 @@ def test_breakdown_identity(ll, lp, rate, dist, lam, a, b, g):
     out = kd_loss(ll, lp, rate, dist, lam, w)
     assert out.rd == rate + lam * dist
     assert out.total == a * ll + b * lp + g * out.rd
-    assert out.weights == w
 
 
 def test_perfect_student_leaves_only_rd():

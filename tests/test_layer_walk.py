@@ -14,7 +14,6 @@ from lic_hw_kit import (
     iterative_prune,
     model_forward,
     traffic_of_model,
-    workload_from_model,
 )
 from lic_hw_kit.model import MAX_LAYER_STEP, layer_extents
 from conftest import make_conv, make_gdn, rand_tensor
@@ -64,7 +63,6 @@ def test_walk_names_the_layer_that_collapses(rng):
 _EXTENT_USERS = {
     "flops_of": flops_of,
     "traffic_of_model": traffic_of_model,
-    "workload_from_model": workload_from_model,
     "iterative_prune": lambda m, hw: iterative_prune(m, PruneSchedule(),
                                                      input_hw=hw),
 }

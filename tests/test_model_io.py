@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from lic_hw_kit import (
+    LayerSpec,
     MalformedHeaderError,
+    ModelSpec,
     PrecisionPolicy,
     TruncatedPayloadError,
     VersionMismatchError,
@@ -16,7 +18,7 @@ from lic_hw_kit import (
     save_model,
     save_quantized_model,
 )
-from conftest import make_encoder, rand_tensor
+from conftest import make_conv, make_encoder, rand_tensor
 
 
 def models_equal(a, b):
@@ -100,6 +102,19 @@ def test_quantized_container_round_trip(rng):
         assert np.array_equal(payload, back.payloads[key])
         assert qm.tensor_params[key].scale == back.tensor_params[key].scale
         assert qm.tensor_params[key].bits == back.tensor_params[key].bits
+
+
+def test_quantized_container_keeps_every_quant_param(rng):
+    # a zero bias takes the floor scale of an all-zero range; the loaded
+    # parameters must equal ptq's, field for field
+    conv = make_conv(2, 2, k=1, p=0, rng=rng)
+    conv = LayerSpec(**conv.scalars(), weights=conv.weights,
+                     bias=np.zeros(2, dtype=np.float32))
+    m = ModelSpec(name="zero-bias", role="main_encoder", layers=[conv])
+    qm = ptq(m, calibrate(m, [rand_tensor(rng, (1, 2, 4, 4))]), PrecisionPolicy())
+    back = load_quantized_model(save_quantized_model(qm))
+    assert back.tensor_params == qm.tensor_params
+    assert back.activation_params == qm.activation_params
 
 
 def test_quantized_container_distinct_magic(rng):

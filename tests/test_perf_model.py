@@ -11,7 +11,6 @@ from lic_hw_kit import (
     estimate_fps,
     peak_ops_per_cycle,
     traffic_of_model,
-    workload_from_model,
 )
 from lic_hw_kit.perf_model import MAX_CORES
 from conftest import make_encoder
@@ -152,11 +151,3 @@ def test_traffic_of_model_rejects_an_override_naming_no_layer(rng):
     model = make_encoder(rng)  # layers 0..4
     with pytest.raises(ParameterError, match=r"overrides name layers \[5, 9\]"):
         traffic_of_model(model, (16, 16), PrecisionPolicy(overrides={5: 4, 9: 4}))
-
-
-def test_workload_from_model_matches_flops(rng):
-    from lic_hw_kit.model import flops_of
-    model = make_encoder(rng)
-    wl = workload_from_model(model, (16, 16))
-    assert wl.total == pytest.approx(flops_of(model, (16, 16)).total)
-    assert set(wl.per_role) == {"main_encoder"}

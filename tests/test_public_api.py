@@ -16,7 +16,7 @@ import types
 
 import lic_hw_kit
 
-PUBLIC_NAMES_SHA256 = "b401790c8deeb258c634fcf13dc846351a84d7cdf393a7956d21afc1ca250048"
+PUBLIC_NAMES_SHA256 = "97587b99d33c68f68187ac9bd8bd604417b503a519c4caca00040719e5a5951d"
 LIBRARY_MODULES = sorted(
     m.name for m in pkgutil.iter_modules(lic_hw_kit.__path__) if m.name != "cli")
 

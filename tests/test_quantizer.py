@@ -34,7 +34,6 @@ def test_scale_covers_saturating_extreme():
     p = quant_params_from_stats(StatRange(-3.0, 5.0), bits=8)
     assert p.scale == 5.0 / 127
     assert p.zero_point == 0
-    assert not p.degenerate
     q, sat = quantize_with_stats(np.array([5.0, -3.0]), p)
     assert sat == 0
     assert q[0] == 127
@@ -45,9 +44,8 @@ def test_scale_uses_larger_magnitude_side():
     assert p.scale == 6.0 / 127
 
 
-def test_degenerate_range_flagged():
+def test_all_zero_range_takes_the_floor_scale():
     p = quant_params_from_stats(StatRange(0.0, 0.0), bits=8)
-    assert p.degenerate
     assert p.scale == SCALE_FLOOR
     q, _ = quantize_with_stats(np.zeros(4), p)
     assert np.array_equal(q, np.zeros(4, dtype=q.dtype))
