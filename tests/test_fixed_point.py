@@ -13,6 +13,7 @@ from lic_hw_kit import (
     FixedPointFormat,
     GdnStageFormats,
     ParameterError,
+    ShapeError,
     build_sqrt_lut,
     from_fixed,
     reciprocal_fixed,
@@ -245,6 +246,13 @@ def test_shift_round_takes_integral_counts_of_any_dtype():
     assert shift_round(v, 2.0).tolist() == [1, -1, 2]
     with pytest.raises(ParameterError, match="at most 63"):
         shift_round(v, np.array([64, 0, 0], dtype=np.uint64))
+
+
+@pytest.mark.parametrize("counts", [np.array([1, 2]), np.array([1.0, 2.0])],
+                         ids=["int-counts", "float-counts"])
+def test_shift_round_rejects_counts_that_do_not_broadcast(counts):
+    with pytest.raises(ShapeError, match="do not broadcast"):
+        shift_round(np.array([5, -5, 6]), counts)
 
 
 def test_saturate_q_counts():

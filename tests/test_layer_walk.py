@@ -61,6 +61,7 @@ def test_walk_names_the_layer_that_collapses(rng):
 
 
 _EXTENT_USERS = {
+    "layer_extents": lambda m, hw: list(layer_extents(m, hw)),
     "flops_of": flops_of,
     "traffic_of_model": traffic_of_model,
     "iterative_prune": lambda m, hw: iterative_prune(m, PruneSchedule(),
