@@ -7,6 +7,19 @@ half-away-from-zero throughout, and out-of-range results saturate to the
 format limits (with the count of clipped elements reported, since
 saturation is expected behaviour for narrow formats, not a failure).
 
+Each rounding shift and clamp reads its block's min and max once
+(_within). When they prove that nothing can wrap or saturate, the block
+takes a short path with the same integers, counts and masks: a right
+shift by n of values in [0, 2**63 - 1 - 2**(n - 1)] is (v + 2**(n - 1))
+>> n, and a clamp or rounding saturation whose values all lie inside
+the limits returns them with a count of 0 and no clip or compare. Almost
+every block of gdn.py's pipelines does. Any other block, one with a
+negative value, one that could wrap or saturate, or one holding a NaN
+(which fails both tests), takes the general path. The shifts and
+saturate_q take int64 integers: int64 input costs one dtype check, a
+NaN or infinity raises DomainError, and a fractional value or one
+outside int64 raises ParameterError instead of wrapping or truncating.
+
 The square-root unit is a piecewise-linear lookup table over a fixed
 domain; callers that need an unbounded domain reduce their argument into
 it first with _reduce, as gdn.py does onto [1, 4). The reciprocal unit
@@ -31,6 +44,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -53,6 +67,7 @@ __all__ = [
 
 _ALLOWED_TOTALS = (8, 16, 32)
 _MAX_SHIFT = 63  # the widest int64 shift; wider counts give wrong integers
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 # Elements per block of the elementwise units and of gdn.py's pipelines:
 # a block's 8-byte temporaries (256 KB each) stay in a 2 MB L2 cache.
@@ -173,8 +188,15 @@ def _round_saturate(v, qmin: int, qmax: int):
     any integer cast can overflow. v must be a float64 array the caller
     owns. Returns (v, count of elements outside the limits after rounding).
     A NaN or infinite element raises DomainError.
+
+    When the rounded block's min and max lie inside the limits, nothing
+    can saturate: v returns with a count of 0, and the compare, count and
+    clip are skipped. A NaN fails both tests, so it takes the general
+    path and its DomainError.
     """
     v = _round_in_place(np.asarray(v))
+    if _within(v, qmin, qmax):
+        return v, 0
     n_sat = v.size - int(np.count_nonzero((v >= qmin) & (v <= qmax)))
     # NaN and +-inf fail both limit tests, so only a count > 0 needs the scan
     if n_sat and not np.isfinite(v).all():
@@ -197,19 +219,68 @@ def from_fixed(q, fmt: FixedPointFormat):
     return np.asarray(q, dtype=np.float64) * fmt.ulp
 
 
-def _round_right(v, n, low):
-    """v shifted right by n >= 0 with half-away-from-zero rounding, for
-    low = 2**(n - 1) - 1 (0 where n = 0); n and low are scalars or
-    arrays of v's length.
+def _within(v, lo, hi) -> bool:
+    """Whether every element of the array v lies in [lo, hi], read from
+    its min and max: the decision behind every short path here. True for
+    an empty v; False for a NaN, which fails both tests."""
+    return v.size == 0 or bool(v.min() >= lo and v.max() <= hi)
 
-    The result is floor((v + 2**(n - 1) + s) / 2**n), s = v >> 63 (0 or
-    -1), but v plus that bias wraps near 2**63. With e = s ^ low (low for
-    v >= 0, -2**(n - 1) for v < 0), e - v never leaves int64, and since
-    ~x >> n == ~(x >> n), s - ((e - v) >> n) is that floor exactly: five
-    passes into two fresh int64 arrays. 0-d input gives a 0-d array.
+
+def _int64_values(v):
+    """v as an int64 array, for the units whose values must be int64
+    integers. int64 input passes as it is (one dtype check), and other
+    integer and bool input is cast. Any other input is checked first: a
+    NaN or infinite value raises DomainError, and a fractional value, one
+    outside int64 or one that is not a number raises ParameterError,
+    where a cast would wrap or truncate it."""
+    a = np.asarray(v)
+    kind = a.dtype.kind
+    if kind in "bi":
+        return a.astype(np.int64, copy=False)
+    if kind == "f":
+        if not np.isfinite(a).all():
+            raise DomainError("cannot shift or saturate NaN or infinite values")
+        bad = a[(a != np.trunc(a)) | (a < -2.0 ** 63) | (a >= 2.0 ** 63)].tolist()
+    elif kind == "u":
+        bad = a[a > _INT64_MAX].tolist()
+    else:  # Python ints too wide for any numpy integer, or not numbers
+        bad = [x for x in a.ravel().tolist() if not isinstance(x, numbers.Integral)
+               or not _INT64_MIN <= x <= _INT64_MAX]
+    if bad:
+        raise ParameterError(f"fixed-point values must be integers inside int64; got {bad[0]!r}")
+    return a.astype(np.int64)
+
+
+def _round_right(v, n):
+    """v shifted right by n >= 0 with half-away-from-zero rounding, for
+    int64 v and n a Python int or an int64 array of v's length. 0-d
+    input gives a 0-d array.
+
+    Short path: when v's min and max put every element in [0, 2**63 - 1
+    - 2**(n - 1)] (for an array of counts, below 2**62, which holds for
+    the widest), v + 2**(n - 1) cannot wrap, and shifting it right by n
+    is the rounded shift: two passes into one fresh int64 array. The
+    GDN pipelines' non-negative blocks all take it.
+
+    General path, for a negative element or one that could wrap: the
+    result is floor((v + 2**(n - 1) + s) / 2**n), s = v >> 63 (0 or -1),
+    but v plus that bias wraps near 2**63. With low = 2**(n - 1) - 1 (0
+    where n = 0) and e = s ^ low (low for v >= 0, -2**(n - 1) for v < 0),
+    e - v never leaves int64, and since ~x >> n == ~(x >> n),
+    s - ((e - v) >> n) is that floor exactly: five passes into two fresh
+    int64 arrays. For v >= 0 it is the short path's integer.
     """
+    scalar = isinstance(n, int)
+    p = 1 << n if scalar else np.left_shift(1, n)  # 2**n; -2**63 as int64 at n = 63
+    if _within(v, 0, _INT64_MAX - (p >> 1 if scalar else 1 << 62)):
+        # 2**(n - 1), 0 where n = 0: halved unsigned, so 2**63 gives 2**62
+        half = p >> 1 if scalar else (p.view(np.uint64) >> 1).view(np.int64)
+        r = np.add(v, half, out=np.empty_like(v))
+        return np.right_shift(r, n, out=r)
+    p -= 1  # wraps to 2**63 - 1 at n = 63
+    p >>= 1  # low
     s = np.right_shift(v, 63, out=np.empty_like(v))
-    r = np.bitwise_xor(s, low, out=np.empty_like(v))
+    r = np.bitwise_xor(s, p, out=np.empty_like(v))
     np.subtract(r, v, out=r)
     np.right_shift(r, n, out=r)
     return np.subtract(s, r, out=r)
@@ -220,14 +291,16 @@ def rshift_round(v, nbits: int):
     (_round_right), exact for every int64.
 
     nbits is one shift for every element, an integer in [-63, 63] (else
-    ParameterError); nbits <= 0 shifts left (exact). 0-d input gives a
-    0-d array.
+    ParameterError); nbits <= 0 shifts left (exact). Values must be int64
+    integers (_int64_values): a NaN or infinity raises DomainError, a
+    fractional value or one outside int64 ParameterError. 0-d input gives
+    a 0-d array.
     """
     nbits = integral_bits(nbits, "shift counts", -_MAX_SHIFT, _MAX_SHIFT)
-    v = np.asarray(v, dtype=np.int64)
+    v = _int64_values(v)
     if nbits <= 0:
         return v << (-nbits)
-    return _round_right(v, nbits, (1 << (nbits - 1)) - 1)
+    return _round_right(v, nbits)
 
 
 def shift_round(v, nbits):
@@ -236,15 +309,15 @@ def shift_round(v, nbits):
 
     nbits may be a scalar or an array of integer shifts in [-63, 63]; a
     count outside that range, or one that is not an integer (2.5, NaN),
-    raises ParameterError, as rshift_round's does. v and nbits broadcast
-    against each other as numpy arrays do; shapes that do not broadcast
-    raise ShapeError once the counts have passed. An array of counts runs
-    block by block (_elementwise), and every element takes one
-    branch-free path: the rounding right shift of _round_right by
-    max(n, 0), which leaves v as it is where n <= 0, then a left shift by
-    max(-n, 0).
+    raises ParameterError, as rshift_round's does. Values are checked as
+    rshift_round's are, once the counts have passed. v and nbits
+    broadcast against each other as numpy arrays do; shapes that do not
+    broadcast raise ShapeError once the counts and values have passed.
+    An array of counts runs block by block (_elementwise), and every
+    element takes one branch-free path: the rounding right shift of
+    _round_right by max(n, 0), which leaves v as it is where n <= 0,
+    then a left shift by max(-n, 0).
     """
-    v = np.asarray(v)
     nbits = np.asarray(nbits)
     if nbits.ndim == 0:
         return rshift_round(v, nbits.item())
@@ -256,6 +329,7 @@ def shift_round(v, nbits):
         checked = (nbits.min(), nbits.max()) if nbits.size else ()
     for n in checked:
         integral_bits(n, "shift counts", -_MAX_SHIFT, _MAX_SHIFT)
+    v = _int64_values(v)
     return _elementwise(_shift_block, np.int64, v, nbits, in_dtype=np.int64)
 
 
@@ -263,25 +337,30 @@ def _shift_block(v, nbits):
     """shift_round on one block of values and counts of equal length."""
     right = np.maximum(nbits, 0)
     left = right - nbits  # max(-n, 0)
-    # low = (2**right - 1) >> 1: 2**(right - 1) - 1, and 0 where right = 0
-    low = np.left_shift(1, right)
-    low -= 1
-    low >>= 1
-    r = _round_right(v, right, low)
+    r = _round_right(v, right)
     r <<= left
     return r
 
 
 def saturate_q(q, fmt: FixedPointFormat):
-    """Clamp Q-format integers to the format limits. Returns (clamped, count)."""
+    """Clamp Q-format integers to the format limits. Returns (clamped,
+    count): a fresh int64 array and the number of elements the clamp
+    moved. Values must be int64 integers, as rshift_round's must."""
     clipped, moved = _clamp(q, fmt)
     return clipped, int(np.count_nonzero(moved))
 
 
 def _clamp(q, fmt: FixedPointFormat):
     """saturate_q with the mask of the clamped elements in place of their
-    count, for callers that need to know which elements saturated."""
-    q = np.asarray(q, dtype=np.int64)
+    count, for callers that need to know which elements saturated.
+
+    When q's min and max lie inside the format, nothing moves: a copy of
+    q returns with an all-False mask, and the clip and compare are
+    skipped. 0-d input keeps the general path, whose np.clip returns
+    numpy scalars."""
+    q = _int64_values(q)
+    if q.ndim and _within(q, fmt.qmin, fmt.qmax):
+        return q.copy(), np.zeros(q.shape, dtype=bool)
     clipped = np.clip(q, fmt.qmin, fmt.qmax)
     return clipped, clipped != q
 
@@ -476,12 +555,21 @@ def _reduce(q, frac: int, out_frac: int, octaves: int):
     """Range reduction of positive Q-format integers with frac fraction
     bits: (m, k) with q = m * 2**(octaves * k) and m on the out_frac grid
     in [1, 2**octaves). k comes from q's bit length, read as the float64
-    exponent; m is q shifted once with rounding, then held in range."""
-    bits = np.frexp(q.astype(np.float64))[1].astype(np.int64)
-    k = (bits - 1 - frac) // octaves
-    m = shift_round(q, frac + octaves * k - out_frac)
+    exponent; m is q shifted once with rounding, then held in range by a
+    clip that runs only on a block whose min or max is outside it."""
+    # float64(q) is 1.f * 2**(e - 1023) for its biased exponent e, so its
+    # bit length (frexp's exponent) is e - 1022
+    k = q.astype(np.float64).view(np.int64)
+    k >>= 52
+    k -= 1023 + frac  # bit length - 1 - frac
+    if octaves > 1:
+        k //= octaves
+    counts = k * octaves
+    counts += frac - out_frac
+    m = shift_round(q, counts)
     one = np.int64(1) << out_frac
-    return np.clip(m, one, (one << octaves) - 1), k
+    top = (one << octaves) - 1
+    return (m if _within(m, one, top) else np.clip(m, one, top)), k
 
 
 def _require_two(fmt: FixedPointFormat):
@@ -503,8 +591,9 @@ def _reciprocal_unclamped(d_int, fmt: FixedPointFormat):
     one = np.int64(1) << f
     m, k = _reduce(d_int, f, f, 1)
     size, seeds = _recip_seed_table(fmt)
+    # m - one in [0, one - 1] puts idx in [0, size - 1]: no clip needed
     idx = ((m - one) * size) >> f
-    r = seeds[np.clip(idx, 0, size - 1)]
+    r = seeds[idx]
     for _ in range(2):
         dr = rshift_round(m * r, f)
         r = rshift_round(r * (2 * one - dr), f)

@@ -262,6 +262,69 @@ def test_saturate_q_counts():
     assert np.array_equal(q, np.array([127, -128, 5]))
 
 
+_INT_UNITS = {
+    "rshift_round": lambda v: rshift_round(v, 1),
+    "shift_round": lambda v: shift_round(v, np.ones(np.shape(v), dtype=np.int64)),
+    "saturate_q": lambda v: saturate_q(v, FixedPointFormat(8, 2)),
+}
+
+
+def test_saturate_q_rejects_uint64_values_beyond_int64():
+    """These once wrapped: saturate_q returned ([-128, -1], 1)."""
+    with pytest.raises(ParameterError, match="inside int64; got 9223372036854775808"):
+        saturate_q(np.array([2**63, 2**64 - 1], dtype=np.uint64), FixedPointFormat(8, 2))
+
+
+@pytest.mark.parametrize("unit", _INT_UNITS)
+def test_fixed_point_units_reject_floats_beyond_int64(unit):
+    """saturate_q(np.array([1e30]), f) once returned -128 with a
+    RuntimeWarning from the cast."""
+    with pytest.raises(ParameterError, match="inside int64; got 1e"):
+        _INT_UNITS[unit](np.array([5.0, 1e30]))
+    with pytest.raises(ParameterError, match="inside int64"):
+        _INT_UNITS[unit](np.array([-2.0 ** 63 * 1.5]))
+
+
+@pytest.mark.parametrize("unit", _INT_UNITS)
+def test_fixed_point_units_reject_fractional_values(unit):
+    """saturate_q([5.7], f) once returned 5, a truncation."""
+    with pytest.raises(ParameterError, match="integers inside int64; got 5.7"):
+        _INT_UNITS[unit]([5.7])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("unit", _INT_UNITS)
+def test_fixed_point_units_reject_non_finite_values(unit, bad):
+    """rshift_round(np.array([np.nan]), 1) once returned -2**62."""
+    with pytest.raises(DomainError, match="NaN or infinite"):
+        _INT_UNITS[unit](np.array([2.0, bad]))
+
+
+@pytest.mark.parametrize("value", [2**64, -(2**63) - 1, 2**63])
+def test_rshift_round_rejects_python_ints_beyond_int64(value):
+    """rshift_round(2**64, 1) once raised a bare OverflowError."""
+    with pytest.raises(ParameterError, match=f"inside int64; got {value}"):
+        rshift_round(value, 1)
+    with pytest.raises(ParameterError, match="inside int64"):
+        saturate_q(np.array([1, value], dtype=object), FixedPointFormat(8, 2))
+
+
+def test_fixed_point_units_take_integral_values_of_any_dtype():
+    """int64 input is used as it is; other integers, bools and integral
+    floats inside int64 are cast exactly."""
+    v = np.array([5, -5, 6], dtype=np.int64)
+    from lic_hw_kit.fixed_point import _int64_values
+    assert _int64_values(v) is v
+    for other in (v.astype(np.int8), v.astype(np.float64), v.tolist(),
+                  np.array([5, -5, 6], dtype=object)):
+        assert rshift_round(other, 1).tolist() == [3, -3, 3]
+        assert saturate_q(other, FixedPointFormat(8, 0))[0].tolist() == [5, -5, 6]
+    assert shift_round(np.array([2.0 ** 62, 1.0]), np.array([1, 0])).tolist() == [2**61, 1]
+    assert rshift_round(np.array([2**63 - 1], dtype=np.uint64), 62).tolist() == [2]
+    assert saturate_q(np.array([True, False]), FixedPointFormat(8, 0))[0].tolist() == [1, 0]
+    assert rshift_round(np.array([-(2.0 ** 63)]), 63).tolist() == [-1]
+
+
 # ---------------------------------------------------------------------------
 # Square-root LUT
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ included.
 
 import contextlib
 import math
+import sys
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -43,6 +45,7 @@ from lic_hw_kit.fixed_point import (
     shift_round,
 )
 from lic_hw_kit.quantizer import int_dtype
+from test_fixed_point import python_rshift_round
 
 
 def oracle_rshift_round(v, nbits: int):
@@ -799,3 +802,274 @@ def test_blocked_unit_peaks_within_its_output_plus_4_mb(name):
         tracemalloc.stop()
     nbytes = (out[0] if isinstance(out, tuple) else out).nbytes
     assert peak <= nbytes + (4 << 20), f"{name}: peak {peak / 2 ** 20:.1f} MB"
+
+
+# ---------------------------------------------------------------------------
+# Short paths: a block's min and max decide whether a rounding shift can
+# wrap and whether a clamp can move anything. Each decision is checked on
+# both sides of its limit, for the path taken and for the integers against
+# oracles that share no code with either path.
+# ---------------------------------------------------------------------------
+
+_I64_MAX = (1 << 63) - 1
+
+
+@contextlib.contextmanager
+def decisions():
+    """Record (caller, short path taken) for every min/max decision."""
+    seen = []
+    within = fixed_point._within
+
+    def spy(v, lo, hi):
+        ok = within(v, lo, hi)
+        seen.append((sys._getframe(1).f_code.co_name, ok))
+        return ok
+
+    with mock.patch.object(fixed_point, "_within", spy):
+        yield seen
+
+
+def py_shift(v: int, n: int) -> int:
+    return python_rshift_round(v, n) if n > 0 else v << -n
+
+
+def _py_want(v, n):
+    v, n = np.broadcast_arrays(np.asarray(v), np.asarray(n))
+    want = [py_shift(int(a), int(b)) for a, b in zip(v.ravel(), n.ravel())]
+    return np.array(want, dtype=np.int64).reshape(v.shape)
+
+
+@pytest.mark.parametrize("n", [1, 2, 62, 63])
+def test_rounding_shift_wrap_limit_picks_the_path(n):
+    """2**63 - 1 - 2**(n - 1) is the largest value whose bias cannot wrap:
+    it takes the short path and one more takes the general one, as does
+    any block with a negative element."""
+    limit = _I64_MAX - (1 << (n - 1))
+    for values, short in [([0, 1, limit], True), ([0, 1, limit + 1], False),
+                          ([0, 7, 1 << 40], True), ([-1, 7, 1 << 40], False),
+                          ([limit], True), ([limit + 1], False)]:
+        v = np.array(values, dtype=np.int64)
+        want = _py_want(v, n)
+        for shift in (lambda: rshift_round(v, n), lambda: shift_round(v, n)):
+            with decisions() as seen:
+                got = shift()
+            assert seen == [("_round_right", short)], values
+            assert _same(got, want) and _same(got, oracle_rshift_round(v, n) if short else got)
+            assert not np.shares_memory(got, v)
+        with decisions() as seen:
+            got = rshift_round(np.int64(values[-1]), n)
+        assert seen == [("_round_right", values[-1] <= limit)]
+        assert got.shape == () and int(got) == py_shift(values[-1], n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 62, 63])
+def test_array_count_wrap_limit_picks_the_path(n):
+    """An array of counts bounds every bias by the widest, 2**62: blocks
+    below 2**62 take the short path, from 2**62 the general one, and for
+    n = 0 the short path adds no bias."""
+    for values, short in [([0, 3, (1 << 62) - 1], True), ([0, 3, 1 << 62], False),
+                          ([0, 3, _I64_MAX - (1 << n >> 1)], n == 63),
+                          ([-1, 3, 5], False), ([0, 0], True)]:
+        v = np.array(values, dtype=np.int64)
+        counts = np.full(v.shape, n)
+        with decisions() as seen:
+            got = shift_round(v, counts)
+        assert seen == [("_round_right", short)], values
+        assert _same(got, _py_want(v, counts))
+        if max(values) < 1 << 62:  # the whole-array body wraps past 2**62
+            assert _same(got, whole_shift_round(v, counts))
+        if n == 0:
+            assert _same(got, v) and not np.shares_memory(got, v)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_mixed_counts_match_the_python_oracle(signed):
+    """Counts that mix right shifts, zeros and left shifts in one block,
+    on non-negative values (short path) and on signed ones (general)."""
+    rng = np.random.default_rng(31)
+    counts = np.concatenate([np.arange(-20, 41), rng.integers(-20, 41, 500), [0] * 50])
+    v = rng.integers(-(1 << 40) if signed else 0, 1 << 40, counts.size)
+    v[:3] = [0, 1, (1 << 40) - 1]
+    with decisions() as seen:
+        got = shift_round(v, counts)
+    assert seen == [("_round_right", not signed)]
+    assert _same(got, _py_want(v, counts))
+    assert _same(got, oracle_shift_round(v, counts))
+    assert _same(got, whole_shift_round(v, counts))
+
+
+def test_zero_counts_keep_non_negative_values():
+    """A bias of 2**(n - 1) taken at n = 0 (one, not zero) would add 1."""
+    v = np.array([0, 5, 6, 7, (1 << 62) - 1], dtype=np.int64)
+    assert shift_round(v, np.zeros(5, dtype=np.int64)).tolist() == v.tolist()
+    assert shift_round(v, np.array([0, -1, 0, 1, 0])).tolist() == [0, 10, 6, 4, (1 << 62) - 1]
+    assert shift_round(v[:4], np.array([[0], [1]])).tolist() == [[0, 5, 6, 7], [0, 3, 3, 4]]
+
+
+def _py_clamp(q, fmt):
+    q = [int(x) for x in np.ravel(q)]
+    out = [min(max(x, fmt.qmin), fmt.qmax) for x in q]
+    return out, [a != b for a, b in zip(out, q)]
+
+
+@pytest.mark.parametrize("fmt", [FixedPointFormat(8, 2), FixedPointFormat(16, 8),
+                                 FixedPointFormat(32, 24)], ids=str)
+def test_clamp_limits_pick_the_path(fmt):
+    """A block reaching exactly qmin and qmax moves nothing and skips the
+    clip; one step past either limit takes the general path."""
+    lo, hi = fmt.qmin, fmt.qmax
+    for values, short in [([lo, 0, hi], True), ([lo], True), ([hi], True),
+                          ([lo - 1, 0, hi], False), ([lo, 0, hi + 1], False),
+                          ([lo - 1], False), ([hi + 1], False),
+                          ([hi + 1, lo - 1, 3], False)]:
+        q = np.array(values, dtype=np.int64)
+        want, moved = _py_clamp(q, fmt)
+        with decisions() as seen:
+            clipped, mask = fixed_point._clamp(q, fmt)
+            got, count = saturate_q(q, fmt)
+        assert seen == [("_clamp", short)] * 2, values
+        assert clipped.tolist() == got.tolist() == want
+        assert got.dtype == np.int64 and not np.shares_memory(got, q)
+        assert mask.dtype == bool and mask.shape == q.shape and mask.tolist() == moved
+        assert type(count) is int and count == sum(moved)
+        assert q.tolist() == values  # the input is left as it was
+
+
+def test_clamp_keeps_the_scalar_contract():
+    """0-d input returns numpy scalars on either side of the limits."""
+    fmt = FixedPointFormat(8, 0)
+    for value, want, moved in [(5, 5, False), (127, 127, False), (128, 127, True)]:
+        clipped, mask = fixed_point._clamp(np.int64(value), fmt)
+        assert type(clipped) is np.int64 and clipped == want
+        assert type(mask) is np.bool_ and mask == moved
+        q, n = saturate_q(np.array(value), fmt)
+        assert type(q) is np.int64 and q == want and n == int(moved)
+
+
+def _py_round_saturate(x, scale, qmin, qmax):
+    """round(x * scale) half away from zero, clamped: (ints, count), in
+    exact rationals."""
+    out, n = [], 0
+    for v in np.ravel(x):
+        f = Fraction(float(v)) * Fraction(scale)
+        r = math.floor(abs(f) + Fraction(1, 2))
+        r = r if f >= 0 else -r
+        c = min(max(r, qmin), qmax)
+        out.append(c)
+        n += c != r
+    return out, n
+
+
+@pytest.mark.parametrize("fmt", [FixedPointFormat(8, 2), FixedPointFormat(16, 8),
+                                 FixedPointFormat(32, 24)], ids=str)
+def test_rounding_saturation_limits_pick_the_path(fmt):
+    """to_fixed: values rounding exactly onto qmin and qmax skip the
+    compare, count and clip; one step past takes the general path. The
+    tie -(qmax + 0.5) rounds away onto qmin and saturates nothing, and
+    +(qmax + 0.5) rounds onto qmax + 1 and saturates."""
+    lo, hi, u = fmt.qmin, fmt.qmax, fmt.ulp
+    for steps, short in [([lo, 0, hi], True), ([lo - 1, hi], False), ([lo, hi + 1], False),
+                         ([-(hi + 0.5)], True), ([hi + 0.5], False),
+                         ([-(hi + 0.5), hi + 0.5], False), ([hi - 0.5, -(hi - 0.5)], True),
+                         ([lo - 0.5], False), ([hi + 0.49], True)]:
+        x = np.array(steps) * u
+        want, n_want = _py_round_saturate(x, 1 << fmt.frac_bits, lo, hi)
+        with decisions() as seen:
+            q, n = to_fixed(x, fmt)
+        assert seen == [("_round_saturate", short)], steps
+        assert q.tolist() == want and n == n_want
+        assert _identical((q, n), whole_to_fixed(x, fmt))
+
+
+def test_quantize_limits_pick_the_path():
+    p = QuantParams(0.25, 0, 8)
+    for steps, short in [([-127, 0, 127], True), ([-127.5], False), ([127.49, -127.49], True),
+                         ([128], False), ([-128], False)]:
+        x = np.array(steps) * p.scale
+        want, n_want = _py_round_saturate(x, 4, p.qmin, p.qmax)
+        with decisions() as seen:
+            q, n = quantize_with_stats(x, p)
+        assert seen == [("_round_saturate", short)], steps
+        assert q.tolist() == want and n == n_want and q.dtype == np.int8
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [0, 2])
+def test_non_finite_values_still_raise_on_in_range_blocks(bad, at):
+    """A NaN, or an infinity, among values that all lie in range fails
+    the range test and reaches the general path's DomainError."""
+    x = np.array([1.5, 2.0, 3.0])
+    x[at] = bad
+    units = [lambda: to_fixed(x, _F16), lambda: quantize_with_stats(x, _Q8),
+             lambda: _LUT.eval(x), lambda: reciprocal_fixed(x),
+             lambda: fixed_point._round_saturate(x.copy(), -10, 10)]
+    for unit in units:
+        with pytest.raises(DomainError, match="NaN or infinite|reciprocal"):
+            unit()
+    with decisions() as seen, pytest.raises(DomainError, match="NaN or infinite"):
+        fixed_point._round_saturate(x.copy(), -10, 10)
+    assert seen == [("_round_saturate", False)]
+
+
+def _py_reduce(q, frac, out_frac, octaves):
+    out = []
+    for x in q:
+        k = (int(x).bit_length() - 1 - frac) // octaves
+        m = py_shift(int(x), frac + octaves * k - out_frac)
+        out.append((min(max(m, 1 << out_frac), (1 << (out_frac + octaves)) - 1), k))
+    return out
+
+
+def test_range_reduction_clip_runs_only_when_rounding_leaves_the_range():
+    """_reduce's rounding can reach 2**octaves, the one value outside
+    [1, 2**octaves): a block without it skips the clip."""
+    for q, short in [([900, 4, 7, 1 << 40], True), ([1023, 4], False), ([(1 << 44) - 1], False)]:
+        q = np.array(q, dtype=np.int64)
+        with decisions() as seen:
+            m, k = fixed_point._reduce(q, 0, 2, 1)
+        assert seen[-1] == ("_reduce", short)
+        assert list(zip(m.tolist(), k.tolist())) == _py_reduce(q, 0, 2, 1)
+    q = np.arange(1, 5000, dtype=np.int64)
+    for frac, out_frac, octaves in [(0, 2, 1), (3, 5, 2), (8, 6, 2), (1, 8, 1)]:
+        m, k = fixed_point._reduce(q, frac, out_frac, octaves)
+        assert list(zip(m.tolist(), k.tolist())) == _py_reduce(q, frac, out_frac, octaves)
+
+
+def frexp_reduce(q, frac, out_frac, octaves):
+    """_reduce as it was: the bit length from np.frexp, k by floor
+    division and the clip on every block."""
+    bits = np.frexp(q.astype(np.float64))[1].astype(np.int64)
+    k = (bits - 1 - frac) // octaves
+    m = shift_round(q, frac + octaves * k - out_frac)
+    one = np.int64(1) << out_frac
+    return np.clip(m, one, (one << octaves) - 1), k
+
+
+def test_range_reduction_reads_the_exponent_as_frexp_does():
+    """Every bit length from 1 to 63, at 2**b - 2 .. 2**b + 2, where a
+    float64 above 2**53 rounds up onto the next power of two, and a
+    random sample of the positive int64 range."""
+    edges = sorted({(1 << b) + d for b in range(64) for d in (-2, -1, 0, 1, 2)
+                    if 1 <= (1 << b) + d <= _I64_MAX})
+    rng = np.random.default_rng(32)
+    q = np.concatenate([np.array(edges, dtype=np.int64), rng.integers(1, _I64_MAX, 4096),
+                        rng.integers(1, 1 << 20, 4096)])
+    for args in [(0, 2, 1), (24, 24, 1), (24, 24, 2), (26, 24, 1), (8, 10, 2), (0, 30, 2)]:
+        m, k = fixed_point._reduce(q, *args)
+        m_old, k_old = frexp_reduce(q, *args)
+        assert _same(m, m_old) and _same(k, k_old), args
+
+
+@pytest.mark.parametrize("bits, frac", [(8, 5), (16, 8), (16, 11), (32, 24), (32, 26)])
+def test_reciprocal_seed_index_stays_in_the_table(bits, frac):
+    """Reduced operands m in [1, 2) index the seed table inside its
+    bounds, so the index needs no clip: checked on every grid point of
+    [1, 2) for narrow formats and on both ends and a sample for wide."""
+    fmt = FixedPointFormat(bits, frac)
+    size, seeds = fixed_point._recip_seed_table(fmt)
+    one = 1 << frac
+    m = np.arange(one, 2 * one, dtype=np.int64) if frac <= 16 else np.concatenate(
+        [np.arange(one, one + 4096), np.arange(2 * one - 4096, 2 * one),
+         np.random.default_rng(7).integers(one, 2 * one, 4096)])
+    idx = ((m - one) * size) >> frac
+    assert idx.min() == 0 and idx.max() == size - 1 == len(seeds) - 1
