@@ -19,6 +19,7 @@ negative value, one that could wrap or saturate, or one holding a NaN
 saturate_q take int64 integers: int64 input costs one dtype check, a
 NaN or infinity raises DomainError, and a fractional value or one
 outside int64 raises ParameterError instead of wrapping or truncating.
+A left shift that would leave int64 raises DomainError instead of wrapping.
 
 The square-root unit is a piecewise-linear lookup table over a fixed
 domain; callers that need an unbounded domain reduce their argument into
@@ -291,21 +292,24 @@ def rshift_round(v, nbits: int):
     (_round_right), exact for every int64.
 
     nbits is one shift for every element, an integer in [-63, 63] (else
-    ParameterError); nbits <= 0 shifts left (exact). Values must be int64
-    integers (_int64_values): a NaN or infinity raises DomainError, a
-    fractional value or one outside int64 ParameterError. 0-d input gives
-    a 0-d array.
+    ParameterError); nbits <= 0 shifts left (exact), and a value that
+    would leave int64 raises DomainError (_check_left). Values must be
+    int64 integers (_int64_values): a NaN or infinity raises DomainError,
+    a fractional value or one outside int64 ParameterError. 0-d input
+    gives a 0-d array.
     """
     nbits = integral_bits(nbits, "shift counts", -_MAX_SHIFT, _MAX_SHIFT)
     v = _int64_values(v)
     if nbits <= 0:
+        _check_left(v, -nbits)
         return v << (-nbits)
     return _round_right(v, nbits)
 
 
 def shift_round(v, nbits):
     """Per-element shift with rounding: right by n where n > 0 (half away
-    from zero, as rshift_round), left by -n (exact) where n <= 0.
+    from zero, as rshift_round), left by -n (exact) where n <= 0; a left
+    shift that would leave int64 raises DomainError, as rshift_round's.
 
     nbits may be a scalar or an array of integer shifts in [-63, 63]; a
     count outside that range, or one that is not an integer (2.5, NaN),
@@ -334,12 +338,29 @@ def shift_round(v, nbits):
 
 
 def _shift_block(v, nbits):
-    """shift_round on one block of values and counts of equal length."""
+    """shift_round on one block of values and counts of equal length;
+    _check_left reads the block's widest left count."""
     right = np.maximum(nbits, 0)
     left = right - nbits  # max(-n, 0)
     r = _round_right(v, right)
+    _check_left(r, left)
     r <<= left
     return r
+
+
+def _check_left(v, left) -> None:
+    """DomainError unless v << left stays inside int64, for int64 v and
+    left an int >= 0 or a non-negative int64 array of v's length. v's
+    min and max against the widest count's limits decide (read here, not
+    through _within, whose decisions pick the short paths); only a block
+    that fails them is checked value by value."""
+    s = int(np.max(left))
+    if not s or not v.size or (v.min() >= _INT64_MIN >> s and v.max() <= _INT64_MAX >> s):
+        return
+    left = np.broadcast_to(left, v.shape)
+    bad = np.flatnonzero((v < _INT64_MIN >> left) | (v > _INT64_MAX >> left))
+    if bad.size:
+        raise DomainError(f"{v.flat[bad[0]]} << {left.flat[bad[0]]} leaves int64")
 
 
 def saturate_q(q, fmt: FixedPointFormat):

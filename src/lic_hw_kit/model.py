@@ -1,4 +1,5 @@
-"""Layer and model descriptions plus reference forward passes.
+"""Layer and model descriptions, their extents, and reference forward
+passes. A layer's ops and bytes are counted in perf_model.layer_costs.
 
 The forward passes are the golden output that other paths (quantized,
 pruned) are measured against, so their contract is precision:
@@ -39,7 +40,7 @@ a float32 rounding boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -60,8 +61,6 @@ __all__ = [
     "deconv2d_forward",
     "relu_forward",
     "model_forward",
-    "FlopsReport",
-    "flops_of",
 ]
 
 LAYER_KINDS = ("conv", "deconv", "gdn", "igdn", "relu")
@@ -235,8 +234,9 @@ def layer_output_dims(layer: LayerSpec, h: int, w: int):
 
 def layer_extents(model: ModelSpec, input_hw):
     """Yield (layer, (h_in, w_in), (h_out, w_out)) for each layer of the
-    stack, for one image of extent input_hw. Op counts and traffic read
-    their extents from this walk."""
+    stack, for one image of extent input_hw. perf_model.layer_costs is
+    its one caller, so every per-layer op and byte count reads its
+    extents from this walk."""
     hw = (integral_bits(input_hw[0], "input extents", 1),
           integral_bits(input_hw[1], "input extents", 1))
     for layer in model.layers:
@@ -439,35 +439,3 @@ def model_forward(model: ModelSpec, x: Tensor, on_layer=None) -> Tensor:
             if hooked is not None:
                 cur = hooked
     return cur
-
-
-@dataclass
-class FlopsReport:
-    per_layer: list = field(default_factory=list)
-    total: int = 0
-
-
-def flops_of(model: ModelSpec, input_hw) -> FlopsReport:
-    """Operation counts per layer for one image of the given extent.
-
-    conv: 2 * H_out * W_out * C_in * C_out * K^2 (multiply + add per MAC:
-    every output pixel meets every tap). deconv: 2 * H_in * W_in * C_in *
-    C_out * K^2 (every input pixel meets every tap once, whatever the
-    output extent; counting at the output extent would overstate a
-    stride-s layer by about s^2). gdn/igdn:
-    2*H*W*C^2 for the pairwise pool plus 5*H*W*C for square, offset,
-    root, divide, and scale. relu: one op per element.
-    """
-    per_layer = []
-    for layer, (h, w), (oh, ow) in layer_extents(model, input_hw):
-        c_in, c_out = layer.in_channels, layer.out_channels
-        if layer.kind == "conv":
-            ops = 2 * oh * ow * c_in * c_out * layer.kernel ** 2
-        elif layer.kind == "deconv":
-            ops = 2 * h * w * c_in * c_out * layer.kernel ** 2
-        elif layer.kind in ("gdn", "igdn"):
-            ops = 2 * oh * ow * c_out * c_out + 5 * oh * ow * c_out
-        else:
-            ops = oh * ow * c_out
-        per_layer.append(ops)
-    return FlopsReport(per_layer=per_layer, total=sum(per_layer))

@@ -11,6 +11,10 @@ eta is the sustained-efficiency derate. workload_scale rescales the
 nominal workload to what the deployed graph actually executes (patch
 overlap, fused ops, compiler differences); 1.0 means take the workload
 number at face value.
+
+layer_costs walks a model's extents once and returns one LayerCost row
+per layer: its width, ops and map and weight bytes. flops_of is the ops
+column and traffic_of_model the weighted rows.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .errors import DomainError, ParameterError, integral_bits
-from .model import ModelSpec, layer_extents
+from .model import LayerSpec, ModelSpec, layer_extents
 from .quantizer import PrecisionPolicy
 
 __all__ = [
@@ -32,6 +36,10 @@ __all__ = [
     "bandwidth_load",
     "traffic_of_model",
     "WorkloadProfile",
+    "LayerCost",
+    "layer_costs",
+    "FlopsReport",
+    "flops_of",
 ]
 
 # Far above the few DPU cores an FPGA instantiates; the simulator keeps
@@ -172,12 +180,74 @@ def bandwidth_load(layers) -> tuple:
     return total_bits, total_bits / 8
 
 
+@dataclass(frozen=True)
+class LayerCost:
+    """One layer's cost for one image: the LayerSpec itself, its input
+    and output extents (h, w), the width ptq quantizes it to, its ops
+    (formulas in layer_costs), and the bytes at that width of its input
+    map at in_hw, its output map at out_hw and its parameters
+    (param_count: bias, beta and gamma included; 0 for relu)."""
+
+    layer: LayerSpec
+    in_hw: tuple
+    out_hw: tuple
+    bits: int
+    ops: int
+    in_bytes: float
+    out_bytes: float
+    weight_bytes: float
+
+
+def layer_costs(model: ModelSpec, input_hw,
+                policy: PrecisionPolicy = PrecisionPolicy()) -> list:
+    """One LayerCost per layer for one image of extent input_hw, each at
+    the width ptq quantizes it to (policy.widths): the one extent walk.
+
+    conv: 2 * H_out * W_out * C_in * C_out * K^2 (multiply + add per MAC:
+    every output pixel meets every tap). deconv: 2 * H_in * W_in * C_in *
+    C_out * K^2 (every input pixel meets every tap once, whatever the
+    output extent; counting at the output extent would overstate a
+    stride-s layer by about s^2). gdn/igdn:
+    2*H*W*C^2 for the pairwise pool plus 5*H*W*C for square, offset,
+    root, divide, and scale. relu: one op per element.
+    """
+    rows = []
+    for (layer, (h, w), (oh, ow)), bits in zip(layer_extents(model, input_hw),
+                                               policy.widths(model)):
+        c_in, c_out = layer.in_channels, layer.out_channels
+        if layer.kind == "conv":
+            ops = 2 * oh * ow * c_in * c_out * layer.kernel ** 2
+        elif layer.kind == "deconv":
+            ops = 2 * h * w * c_in * c_out * layer.kernel ** 2
+        elif layer.kind in ("gdn", "igdn"):
+            ops = 2 * oh * ow * c_out * c_out + 5 * oh * ow * c_out
+        else:
+            ops = oh * ow * c_out
+        rows.append(LayerCost(layer, (h, w), (oh, ow), bits, ops,
+                              in_bytes=h * w * c_in * bits / 8,
+                              out_bytes=oh * ow * c_out * bits / 8,
+                              weight_bytes=layer.param_count() * bits / 8))
+    return rows
+
+
+@dataclass
+class FlopsReport:
+    per_layer: list = field(default_factory=list)
+    total: int = 0
+
+
+def flops_of(model: ModelSpec, input_hw) -> FlopsReport:
+    """Operation counts per layer for one image of the given extent: the
+    ops column of layer_costs."""
+    per_layer = [row.ops for row in layer_costs(model, input_hw)]
+    return FlopsReport(per_layer=per_layer, total=sum(per_layer))
+
+
 def traffic_of_model(model: ModelSpec, input_hw,
                      policy: PrecisionPolicy = PrecisionPolicy()):
     """LayerTraffic rows for a model's conv/deconv layers, each at the
-    width ptq quantizes it to (policy.widths)."""
-    return [LayerTraffic(h=h, w=w, n_in=layer.in_channels,
-                         n_out=layer.out_channels, kernel=layer.kernel, bits=bits)
-            for (layer, (h, w), _), bits in zip(layer_extents(model, input_hw),
-                                                policy.widths(model))
-            if layer.weights is not None]
+    width ptq quantizes it to (policy.widths): layer_costs's weighted
+    rows, with the input extent bandwidth_load charges both maps at."""
+    return [LayerTraffic(*r.in_hw, r.layer.in_channels, r.layer.out_channels,
+                         r.layer.kernel, r.bits)
+            for r in layer_costs(model, input_hw, policy) if r.layer.weights is not None]

@@ -21,7 +21,8 @@ from math import floor
 import numpy as np
 
 from .errors import ParameterError, PruningError, integral_bits
-from .model import LayerSpec, ModelSpec, flops_of
+from .model import LayerSpec, ModelSpec
+from .perf_model import flops_of
 
 __all__ = [
     "PruneSchedule",
@@ -140,25 +141,12 @@ def _select_removals(model: ModelSpec, counts: dict) -> dict:
     return removals
 
 
-def _base_report(model: ModelSpec, input_hw) -> PruneReport:
-    rep = PruneReport()
-    rep.params_before = model.param_count()
-    rep.filters_before = {li: model.layers[li].out_channels
-                          for li in prunable_layer_indices(model)}
-    if input_hw is not None:
-        rep.flops_before = flops_of(model, input_hw).total
-    return rep
-
-
-def _finish_report(rep: PruneReport, model: ModelSpec, input_hw) -> None:
-    rep.params_after = model.param_count()
-    rep.filters_after = {li: model.layers[li].out_channels
-                         for li in rep.filters_before}
-    if input_hw is not None:
-        rep.flops_after = flops_of(model, input_hw).total
-    before = sum(rep.filters_before.values())
-    after = sum(rep.filters_after.values())
-    rep.cumulative_ratio = (before - after) / before if before else 0.0
+def _sizes(model: ModelSpec, input_hw) -> tuple:
+    """(params, {prunable index: filters}, flops_of total, or None without
+    input_hw): what a report records of the model before and after."""
+    return (model.param_count(),
+            {li: model.layers[li].out_channels for li in prunable_layer_indices(model)},
+            None if input_hw is None else flops_of(model, input_hw).total)
 
 
 def iterative_prune(model: ModelSpec, schedule: PruneSchedule,
@@ -170,11 +158,9 @@ def iterative_prune(model: ModelSpec, schedule: PruneSchedule,
     may return a replacement model (same structure) or None. Removed
     indices in the report refer to the original filter numbering.
     """
-    rep = _base_report(model, input_hw)
-    if model.role in HYPERPRIOR_ROLES and not schedule.prune_hyperprior:
-        _finish_report(rep, model, input_hw)
-        return model, rep
-
+    rep = PruneReport()
+    rep.params_before, rep.filters_before, rep.flops_before = _sizes(model, input_hw)
+    exempt = model.role in HYPERPRIOR_ROLES and not schedule.prune_hyperprior
     prunable = prunable_layer_indices(model)
     per_iter = {li: floor(schedule.fraction_per_iteration
                           * model.layers[li].out_channels)
@@ -182,7 +168,7 @@ def iterative_prune(model: ModelSpec, schedule: PruneSchedule,
     survivors = {li: np.arange(model.layers[li].out_channels) for li in prunable}
 
     cur = model
-    for it in range(schedule.iterations):
+    for it in range(0 if exempt else schedule.iterations):
         removals = _select_removals(cur, per_iter)
         keep_out = {}
         for li in sorted(removals):
@@ -196,5 +182,7 @@ def iterative_prune(model: ModelSpec, schedule: PruneSchedule,
             replacement = finetune_hook(cur, it)
             if replacement is not None:
                 cur = replacement
-    _finish_report(rep, cur, input_hw)
+    rep.params_after, rep.filters_after, rep.flops_after = _sizes(cur, input_hw)
+    before, after = sum(rep.filters_before.values()), sum(rep.filters_after.values())
+    rep.cumulative_ratio = (before - after) / before if before else 0.0
     return cur, rep

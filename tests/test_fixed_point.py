@@ -227,6 +227,33 @@ def test_shift_counts_of_63_bits_are_accepted():
     assert shift_round(np.array([0, -1]), np.full(2, -63)).tolist() == [0, -(1 << 63)]
 
 
+def test_rshift_round_left_shift_out_of_int64_raises():
+    """rshift_round([2**62, -2**62, 3], -2) wrapped to [0, 0, 12]."""
+    with pytest.raises(DomainError, match="4611686018427387904 << 2 leaves int64"):
+        rshift_round(np.array([2**62, -2**62, 3]), -2)
+    assert rshift_round(np.array([2**60 - 1, -2**61, 3]), -2).tolist() == [
+        2**62 - 4, -2**63, 12]
+
+
+def test_rshift_round_left_shift_of_one_value_out_of_int64_raises():
+    """rshift_round(2**62, -1) wrapped to -2**63."""
+    with pytest.raises(DomainError, match="4611686018427387904 << 1 leaves int64"):
+        rshift_round(2**62, -1)
+    assert rshift_round(-2**62, -1) == -2**63
+    assert rshift_round(2**62 - 1, -1) == 2**63 - 2
+
+
+def test_shift_round_left_shift_out_of_int64_raises():
+    """shift_round([2**62, 5], [-2, -1]) wrapped to [0, 10]."""
+    with pytest.raises(DomainError, match="4611686018427387904 << 2 leaves int64"):
+        shift_round(np.array([2**62, 5]), np.array([-2, -1]))
+    # the widest count's limits fail, so each value meets its own count
+    assert shift_round(np.array([2**62, -2**62, 5]), np.array([0, -1, -2])).tolist() == [
+        2**62, -2**63, 20]
+    with pytest.raises(DomainError, match="-4611686018427387905 << 1 leaves int64"):
+        shift_round(np.array([2**62, -2**62 - 1, 5]), np.array([0, -1, -2]))
+
+
 @pytest.mark.parametrize("counts", [2.5, [2.5], np.array([2.0, 2.5]), [np.nan],
                                     np.array([[1], [-0.5]])])
 def test_shift_round_rejects_fractional_counts(counts):

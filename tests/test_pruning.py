@@ -14,7 +14,7 @@ from lic_hw_kit import (
     model_forward,
     prunable_layer_indices,
 )
-from lic_hw_kit.model import flops_of
+from lic_hw_kit.perf_model import flops_of
 from conftest import make_conv, make_gdn, rand_tensor
 
 

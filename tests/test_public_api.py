@@ -16,7 +16,7 @@ import types
 
 import lic_hw_kit
 
-PUBLIC_NAMES_SHA256 = "97587b99d33c68f68187ac9bd8bd604417b503a519c4caca00040719e5a5951d"
+PUBLIC_NAMES_SHA256 = "b28d9be6c2083fb29c29c253fac73013aac14d02cc5058261c17c8314574ff18"
 LIBRARY_MODULES = sorted(
     m.name for m in pkgutil.iter_modules(lic_hw_kit.__path__) if m.name != "cli")
 
